@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
         {util::TextTable::integer(iters),
          util::TextTable::integer(static_cast<long long>(tc.recordedTotal())),
          util::TextTable::num(
-             static_cast<double>(on.trace.ring_capacity * sizeof(trace::Record))
-                 / 1024.0, 0),
+             static_cast<double>(tc.reservedBytes()) / 1024.0, 0),
          util::TextTable::integer(static_cast<long long>(tc.droppedTotal())),
          util::TextTable::num(t_off, 3), util::TextTable::num(t_on, 3),
          util::TextTable::num(t_off > 0 ? 100.0 * (t_on - t_off) / t_off : 0.0,
@@ -125,8 +124,9 @@ int main(int argc, char** argv) {
     ring.print(std::cout);
   }
   std::printf(
-      "\nThe ring's memory is fixed (drops are counted, never silent) and\n"
-      "its host cost is charged in virtual time, so the overhead is visible\n"
-      "in the measured run times themselves.\n");
+      "\nThe ring is capped (drops are counted, never silent) and allocates\n"
+      "only for the records it keeps; its host cost is charged in virtual\n"
+      "time, so the overhead is visible in the measured run times\n"
+      "themselves.\n");
   return 0;
 }

@@ -60,6 +60,7 @@
 #include "trace/export.hpp"
 #include "trace/timeline.hpp"
 #include "util/flags.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace ovp;
@@ -118,12 +119,18 @@ int main(int argc, char** argv) {
       flags.getInt("ovprof-trace-window", 1'000'000);
   const bool lint = util::lintRequested(flags);
   const std::string lint_json = util::lintJsonPathRequested(flags);
-  if (!trace_path.empty() || lint) {
-    params.trace.enabled = true;
-    params.trace.ring_capacity = static_cast<std::size_t>(flags.getInt(
-        "ovprof-trace-capacity",
-        static_cast<std::int64_t>(params.trace.ring_capacity)));
+  if (flags.has("ovprof-trace-capacity")) {
+    const std::string text = flags.getString("ovprof-trace-capacity", "");
+    std::int64_t cap = 0;
+    if (!util::parseInt(text, cap) || cap < 1) {
+      std::fprintf(stderr,
+                   "bad --ovprof-trace-capacity: %s (want an integer >= 1)\n",
+                   text.c_str());
+      return 2;
+    }
+    params.trace.ring_capacity = static_cast<std::size_t>(cap);
   }
+  params.trace.enabled = !trace_path.empty() || lint;
   const std::string preset = flags.getString("preset", "mvapich2");
   params.preset = preset == "pipelined" ? mpi::Preset::OpenMpiPipelined
                   : preset == "leavepinned"

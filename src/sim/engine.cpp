@@ -99,8 +99,10 @@ void Engine::run(int nranks, const std::function<void(Context&)>& rankMain) {
 
   // Every rank starts with a driver-created resume event at t=0; the driver
   // counter assigns (src=-1, seq=r) in rank order, identically in both
-  // modes.
+  // modes.  A rank with a pending Resume is Busy, exactly as after
+  // rankCompute().
   for (Rank r = 0; r < nranks; ++r) {
+    slot(r).state = RankState::Busy;
     Event e;
     e.time = 0;
     e.src = -1;

@@ -128,4 +128,10 @@ std::int64_t Collector::droppedTotal() const {
   return n;
 }
 
+std::size_t Collector::reservedBytes() const {
+  std::size_t n = 0;
+  for (const TraceRing& ring : rings_) n += ring.reservedBytes();
+  return n;
+}
+
 }  // namespace ovp::trace

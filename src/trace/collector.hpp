@@ -34,12 +34,14 @@ struct CollectorConfig {
   /// Master switch; a disabled config means no Collector is created at all
   /// and every library/NIC path stays bit-identical to an untraced run.
   bool enabled = false;
-  /// Per-rank ring capacity, in records (~40 B each).  The default holds a
-  /// NAS class-A run with plenty of headroom; when it overflows the drop
-  /// counters say exactly how much of the tail is missing.
+  /// Per-rank cap on retained records (48 B each).  Rings allocate as
+  /// records arrive, so the cap costs nothing until it is reached.  The
+  /// default holds a NAS class-A run with plenty of headroom; when it
+  /// overflows the drop counters say exactly how much of the tail is
+  /// missing.
   std::size_t ring_capacity = 1u << 19;
   /// Host cost charged per record in virtual time: a cycle-counter read and
-  /// one store into the preallocated ring, same order as the Monitor's
+  /// one append to the rank's ring, same order as the Monitor's
   /// event_cost.  This is what keeps Figure-20-style overhead claims honest
   /// — tracing is visible in the reported times, not hidden.
   DurationNs record_cost = 12;
@@ -121,6 +123,8 @@ class Collector {
 
   [[nodiscard]] std::int64_t recordedTotal() const;
   [[nodiscard]] std::int64_t droppedTotal() const;
+  /// Bytes allocated for records over all rings (TraceRing::reservedBytes).
+  [[nodiscard]] std::size_t reservedBytes() const;
 
  private:
   struct Segment {

@@ -3,9 +3,10 @@
 // The paper's framework deliberately keeps no trace ("no tracing, no
 // inter-process communication", Sec. 2.4): it can say HOW MUCH overlap a run
 // achieved but not WHEN it was lost or WHICH rank caused it.  src/trace is
-// the bounded-footprint middle ground: a fixed-capacity per-rank ring of
-// fixed-size binary records — the same statically allocated, drop-accounted
-// shape as the framework's event queue — fed from three sources:
+// the bounded-footprint middle ground: a capped per-rank buffer of
+// fixed-size binary records that grows as records arrive and, like the
+// framework's event queue, counts every record it cannot keep — fed from
+// three sources:
 //
 //   * the overlap Monitor's event stream (CALL/XFER/SECTION/DISABLE events,
 //     observed at queue-drain time, timestamps preserved);
@@ -14,9 +15,10 @@
 //   * the NIC (work-request post/completion and, under the fault model,
 //     retransmissions and ack timeouts).
 //
-// Records are fixed-size PODs so the ring never allocates after
-// construction and the per-record logging cost is a constant that can be
-// charged in virtual time (keeping Figure-20-style overhead claims honest).
+// Records are fixed-size PODs (48 B) so the buffer's memory is a plain
+// multiple of the records it holds and the per-record logging cost is a
+// constant that can be charged in virtual time (keeping Figure-20-style
+// overhead claims honest).
 #pragma once
 
 #include <cstdint>
@@ -136,5 +138,7 @@ struct Record {
   /// across reruns and break the exporters' bit-identical guarantee.
   std::int64_t addr = -1;
 };
+static_assert(sizeof(Record) == 48,
+              "trace docs and memory budgets assume 48 B records");
 
 }  // namespace ovp::trace

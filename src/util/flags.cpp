@@ -206,9 +206,10 @@ const char* ovprofHelpText() {
       "                               Perfetto / chrome://tracing) and a\n"
       "                               lossless CSV to FILE.csv; also:\n"
       "                               OVPROF_TRACE=FILE\n"
-      "  --ovprof-trace-capacity=N    per-rank trace ring capacity in records\n"
-      "                               (default 524288; overflow drops newest\n"
-      "                               records and is counted)\n"
+      "  --ovprof-trace-capacity=N    per-rank cap on retained trace records,\n"
+      "                               N >= 1 (default 524288); memory grows\n"
+      "                               with the records kept, and records past\n"
+      "                               the cap are dropped and counted\n"
       "  --ovprof-trace-window=NS     time-resolved analysis window in\n"
       "                               virtual ns (default 1000000)\n"
       "  --ovprof-lint[=0|1]          after the run, lint the collected trace\n"

@@ -1,13 +1,14 @@
-// Tests for src/trace/: ring drop accounting, golden Chrome-JSON/CSV
-// exports, JSON well-formedness, exact window/report reconciliation,
-// bit-identical reruns, cross-rank matching and the critical path, and the
-// --ovprof-* flag validation that fronts it all.
+// Tests for src/trace/: ring drop accounting and memory budget, golden
+// Chrome-JSON/CSV exports, JSON well-formedness, exact window/report
+// reconciliation, bit-identical reruns, cross-rank matching and the
+// critical path, and the --ovprof-* flag validation that fronts it all.
 //
 // To regenerate the golden exports after an intentional format change:
 //   OVPROF_REGOLD=1 ./build/tests/trace_test
 // then commit the updated files under tests/golden/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
+#include "nas/cg.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "trace/ring.hpp"
@@ -235,6 +237,59 @@ TEST(TraceRing, KeepsOldestPrefixAndCountsDrops) {
   for (std::size_t i = 0; i < ring.size(); ++i) {
     EXPECT_EQ(ring.at(i).time, static_cast<TimeNs>(i));
   }
+}
+
+TEST(TraceRing, NonPowerOfTwoCapKeepsExactPrefix) {
+  trace::TraceRing ring(5);
+  EXPECT_EQ(ring.reservedBytes(), 0u);  // nothing allocated before a record
+  for (int i = 0; i < 1000; ++i) {
+    trace::Record rec;
+    rec.time = i;
+    EXPECT_EQ(ring.push(rec), i < 5);
+  }
+  EXPECT_EQ(ring.size(), 5u);
+  EXPECT_EQ(ring.capacity(), 5u);
+  EXPECT_EQ(ring.dropped(), 995);
+  EXPECT_EQ(ring.reservedBytes(), 5 * sizeof(trace::Record));
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring.at(i).time, static_cast<TimeNs>(i));
+  }
+}
+
+TEST(TraceRing, MemoryTracksRecordsUpToTheCap) {
+  constexpr std::size_t kCap = 1000;
+  trace::TraceRing ring(kCap);
+  for (std::size_t n = 1; n <= kCap; ++n) {
+    trace::Record rec;
+    rec.time = static_cast<TimeNs>(n);
+    ASSERT_TRUE(ring.push(rec));
+    ASSERT_LE(ring.reservedBytes(), kCap * sizeof(trace::Record));
+    ASSERT_LE(ring.reservedBytes(),
+              std::max<std::size_t>(2 * n, 64) * sizeof(trace::Record))
+        << "after " << n << " records";
+  }
+  EXPECT_EQ(ring.reservedBytes(), kCap * sizeof(trace::Record));
+  EXPECT_EQ(ring.dropped(), 0);
+}
+
+// Trace memory budget for a traced 64-rank run, as a machine-independent
+// counter: the rings may hold at most twice the bytes of the records they
+// keep, plus one first allocation (under 4 KiB) per rank.
+TEST(TraceRing, Traced64RankCgStaysWithinMemoryBudget) {
+  nas::NasParams p;
+  p.cls = nas::Class::S;
+  p.nranks = 64;
+  p.trace.enabled = true;
+  const nas::NasResult result = nas::runCg(p);
+  ASSERT_TRUE(result.verified);
+  ASSERT_NE(result.trace, nullptr);
+  const trace::Collector& tc = *result.trace;
+  EXPECT_EQ(tc.droppedTotal(), 0);
+  EXPECT_GT(tc.recordedTotal(), 0);
+  const std::size_t used =
+      static_cast<std::size_t>(tc.recordedTotal()) * sizeof(trace::Record);
+  EXPECT_LE(tc.reservedBytes(), 2 * used + 64 * 4096)
+      << tc.recordedTotal() << " records";
 }
 
 TEST(TraceRing, DroppedRecordsUndershootReconciliation) {
