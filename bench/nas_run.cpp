@@ -9,6 +9,10 @@
 //           [--reports=/path/prefix] [--iterations=N] [--ovprof-verify]
 //           [--ovprof-fault=SPEC] [--ovprof-trace=FILE]
 //
+// --procs must be a rank count the kernel's decomposition supports (the
+// family of its communication template, src/nas/symbolic.cpp); any other
+// count, an unknown kernel or MG variant exits 2 with the supported family.
+//
 // --ovprof-verify (or OVPROF_VERIFY=1) attaches the analysis layer: a
 // StreamVerifier on every rank's event stream plus the library UsageChecker.
 // Findings are printed to stderr and make the run exit non-zero.
@@ -55,7 +59,9 @@
 #include "nas/lu.hpp"
 #include "nas/mg.hpp"
 #include "nas/sp.hpp"
+#include "nas/symbolic.hpp"
 #include "overlap/report_io.hpp"
+#include "skeleton/symbolic/instantiate.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "trace/timeline.hpp"
@@ -139,6 +145,29 @@ int main(int argc, char** argv) {
                                          : mpi::Preset::Mvapich2;
 
   const std::string kernel = flags.getString("kernel", "cg");
+  {
+    // The kernel's communication template names the rank counts it
+    // supports; reject the rest before building the machine.
+    nas::SkeletonParams shape;
+    shape.cls = params.cls;
+    shape.iterations = params.iterations;
+    if (kernel == "mg") shape.variant = flags.getString("variant", "");
+    const nas::SymSkeletonBuildResult sym =
+        nas::buildNasSymSkeleton(kernel, shape);
+    if (!sym.ok()) {
+      std::fprintf(stderr, "nas_run: %s\n", sym.error.c_str());
+      return 2;
+    }
+    if (!skel::sym::familyAdmits(sym.skeleton, params.nranks, nullptr)) {
+      std::fprintf(stderr,
+                   "nas_run: %s class %s cannot run on --procs=%d; "
+                   "supported rank counts: %s\n",
+                   kernel.c_str(), nas::className(params.cls),
+                   params.nranks,
+                   skel::sym::familyText(sym.skeleton).c_str());
+      return 2;
+    }
+  }
   nas::NasResult result;
   if (kernel == "cg") {
     result = nas::runCg(params);

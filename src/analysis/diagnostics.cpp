@@ -63,7 +63,6 @@ const char* diagCodeName(DiagCode c) {
     case DiagCode::SymDeadlockCycle: return "SYM_DEADLOCK_CYCLE";
     case DiagCode::SymDeadlockUnproven: return "SYM_DEADLOCK_UNPROVEN";
     case DiagCode::SymBarrierDivergence: return "SYM_BARRIER_DIVERGENCE";
-    case DiagCode::SymInstantiateMismatch: return "SYM_INSTANTIATE_MISMATCH";
   }
   return "?";
 }

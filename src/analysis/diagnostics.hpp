@@ -78,7 +78,6 @@ enum class DiagCode : std::uint8_t {
   SymDeadlockCycle,        // blocking cycle provable for a rank-count family
   SymDeadlockUnproven,     // blocking structure outside the safe fragments
   SymBarrierDivergence,    // collective guarded by a rank-dependent condition
-  SymInstantiateMismatch,  // instantiate(symbolic,P) != unrolled builder
 };
 
 [[nodiscard]] const char* severityName(Severity s);

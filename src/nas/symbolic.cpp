@@ -1,11 +1,12 @@
 #include "nas/symbolic.hpp"
 
+#include <functional>
 #include <utility>
 
 #include "nas/class_tables.hpp"
 #include "nas/fft.hpp"
-#include "skeleton/builder.hpp"
 #include "skeleton/symbolic/builder.hpp"
+#include "skeleton/symbolic/instantiate.hpp"
 
 namespace ovp::nas {
 
@@ -30,6 +31,13 @@ SymSkeletonBuildResult symFinish(SymBuilder&& b) {
   }
   return r;
 }
+
+/// One face direction of a process grid: the guard under which the
+/// neighbour exists, and its rank.
+struct Dir {
+  Guard g;
+  ExprP peer;
+};
 
 // ---------------------------------------------------------------- CG ----
 
@@ -186,6 +194,366 @@ SymSkeletonBuildResult buildSymFt(const SkeletonParams& p) {
   return symFinish(std::move(b));
 }
 
+// ------------------------------------------------ LU / SP / BT grid ----
+
+/// Row-major 2-D process grid of LU/SP/BT: pi = r mod px, pj = r div px,
+/// x and y split over the grid, z kept whole on every rank.
+struct Grid2 {
+  ExprP px, py;
+  ExprP lnx, lny;  // local extents
+  Dir west, east, north, south;
+};
+
+/// Declares the grid family (nx, ny divisible by the grid) on `b`.
+Grid2 grid2(SymBuilder& b, const tables::GridSizes& sz) {
+  Grid2 g;
+  g.px = fac2x(procs());
+  g.py = fac2y(procs());
+  b.family({Cond{mod(cst(sz.nx), g.px), CmpOp::Eq, cst(0)},
+            Cond{mod(cst(sz.ny), g.py), CmpOp::Eq, cst(0)}});
+  g.lnx = floordiv(cst(sz.nx), g.px);
+  g.lny = floordiv(cst(sz.ny), g.py);
+  const ExprP pi = mod(rnk(), g.px);
+  const ExprP pj = floordiv(rnk(), g.px);
+  g.west = {{Cond{pi, CmpOp::Ge, cst(1)}}, sub(rnk(), cst(1))};
+  g.east = {{Cond{pi, CmpOp::Le, sub(g.px, cst(2))}}, add(rnk(), cst(1))};
+  g.north = {{Cond{pj, CmpOp::Ge, cst(1)}}, sub(rnk(), g.px)};
+  g.south = {{Cond{pj, CmpOp::Le, sub(g.py, cst(2))}}, add(rnk(), g.px)};
+  return g;
+}
+
+/// Posts the four-neighbour face exchange in kernel order: receives
+/// W, E, N, S, then sends W, E, N, S (the caller computes and waits).
+void postFaces(SymBuilder& b, const Grid2& g, int xtag, int ytag,
+               const ExprP& xbytes, const ExprP& ybytes) {
+  const Dir* dirs[4] = {&g.west, &g.east, &g.north, &g.south};
+  for (const bool send : {false, true}) {
+    for (int d = 0; d < 4; ++d) {
+      const ExprP tag = cst(d < 2 ? xtag : ytag);
+      const ExprP& bytes = d < 2 ? xbytes : ybytes;
+      b.guarded(dirs[d]->g, [&] {
+        if (send) {
+          b.isend(dirs[d]->peer, tag, bytes);
+        } else {
+          b.irecv(dirs[d]->peer, tag, bytes);
+        }
+      });
+    }
+  }
+}
+
+/// The rank-side complement of a one-atom neighbour guard.
+Guard absent(const Dir& d) {
+  Cond c = d.g.front();
+  c.op = c.op == CmpOp::Ge ? CmpOp::Lt : CmpOp::Gt;
+  return {c};
+}
+
+/// Emits `body` under the neighbour's guard; a null direction (the
+/// communication-free z solves) emits nothing.
+void whenDir(SymBuilder& b, const Dir* d, const std::function<void()>& body) {
+  if (d != nullptr) b.guarded(d->g, body);
+}
+
+// ---------------------------------------------------------------- LU ----
+
+SymSkeletonBuildResult buildSymLu(const SkeletonParams& p) {
+  const tables::GridSizes sz = tables::luSizes(p.cls);
+  const int niter = p.iterations > 0 ? p.iterations : sz.niter;
+  constexpr int nc = tables::kNcomp;
+  SymBuilder b("lu");
+  b.nsPerFlop(p.cost.ns_per_flop);
+  const Grid2 g = grid2(b, sz);
+  const ExprP cells = mul(g.lnx, g.lny);  // points per z-plane
+  const ExprP fx = mul(g.lny, cst(sz.nz * nc));
+  const ExprP fy = mul(g.lnx, cst(sz.nz * nc));
+  const auto exchangeFaces = [&] {
+    b.site("lu.exchange");
+    postFaces(b, g, tables::kLuTagFaceW, tables::kLuTagFaceN,
+              mul(fx, cst(kD)), mul(fy, cst(kD)));
+    b.compute(mul(cst(4), add(fx, fy)));
+    b.waitall();
+    b.compute(mul(cst(2), add(fx, fy)));
+  };
+  const auto residualNorm = [&] {
+    b.site("lu.residual");
+    b.compute(mul(cells, cst(12 * sz.nz * nc)));
+    b.mpiAllreduce(cst(1));
+  };
+  // Wavefront sweep: per z-plane, blocking receives from the upstream
+  // neighbours, the plane update, blocking sends downstream.
+  const auto sweep = [&](bool forward) {
+    b.site(forward ? "lu.sweep_fwd" : "lu.sweep_bwd");
+    const Dir& up_x = forward ? g.west : g.east;
+    const Dir& dn_x = forward ? g.east : g.west;
+    const Dir& up_y = forward ? g.north : g.south;
+    const Dir& dn_y = forward ? g.south : g.north;
+    const ExprP ctag =
+        cst(forward ? tables::kLuTagSweepCol : tables::kLuTagBackCol);
+    const ExprP rtag =
+        cst(forward ? tables::kLuTagSweepRow : tables::kLuTagBackRow);
+    const ExprP col = mul(g.lny, cst(nc * kD));
+    const ExprP row = mul(g.lnx, cst(nc * kD));
+    b.loop("k", cst(0), cst(sz.nz), [&] {
+      b.guarded(up_x.g, [&] { b.recv(up_x.peer, ctag, col); });
+      b.guarded(up_y.g, [&] { b.recv(up_y.peer, rtag, row); });
+      b.compute(mul(cells, cst(9 * nc)));
+      b.guarded(dn_x.g, [&] { b.send(dn_x.peer, ctag, col); });
+      b.guarded(dn_y.g, [&] { b.send(dn_y.peer, rtag, row); });
+    });
+  };
+  b.site("lu.init");
+  b.compute(mul(cells, cst(6 * sz.nz * nc)));
+  exchangeFaces();
+  residualNorm();
+  b.loop("it", cst(0), cst(niter), [&] {
+    sweep(true);
+    sweep(false);
+    exchangeFaces();
+    residualNorm();
+  });
+  return symFinish(std::move(b));
+}
+
+// ---------------------------------------------------------------- SP ----
+
+SymSkeletonBuildResult buildSymSp(const SkeletonParams& p) {
+  const tables::GridSizes sz = tables::spSizes(p.cls);
+  const int niter = p.iterations > 0 ? p.iterations : sz.niter;
+  constexpr int nc = tables::kNcomp;
+  SymBuilder b("sp");
+  b.nsPerFlop(p.cost.ns_per_flop);
+  const Grid2 g = grid2(b, sz);
+  const ExprP cells = mul(g.lnx, g.lny);
+  const ExprP bp = mul(cells, cst(sz.nz));
+  const ExprP xface = mul(g.lny, cst(2 * sz.nz * nc));
+  const ExprP yface = mul(g.lnx, cst(2 * sz.nz * nc));
+
+  const auto copyFaces = [&] {
+    b.site("sp.copy_faces");
+    postFaces(b, g, tables::kSpTagFace, tables::kSpTagFace,
+              mul(xface, cst(kD)), mul(yface, cst(kD)));
+    b.compute(mul(cst(2), add(xface, yface)));
+    b.waitall();
+    b.compute(mul(cst(2), add(xface, yface)));
+  };
+  const auto normOf = [&] {
+    b.site("sp.norm");
+    b.compute(mul(bp, cst(2 * nc)));
+    b.mpiAllreduce(cst(1));
+  };
+
+  // The kernel's stage-pipelined line solve (nas_run defaults: stages=3,
+  // unmodified, so the Iprobe chunking collapses into one compute per
+  // window).  `up`/`dn` are null for the communication-free z direction.
+  // Stage s covers lines [lines*s/S, lines*(s+1)/S); forward messages
+  // travel in slots rf/sf, backward ones in rb/sb, indexed by stage.
+  const auto solveBatch = [&](const Dir* up, const Dir* dn, int tag_fwd,
+                              int tag_bwd, const ExprP& lines,
+                              const ExprP& n) {
+    const ExprP stages = emax(cst(1), emin(cst(tables::kSpStages), lines));
+    const ExprP s = var("s");
+    const auto span = [&](const ExprP& st) {
+      return sub(floordiv(mul(lines, add(st, cst(1))), stages),
+                 floordiv(mul(lines, st), stages));
+    };
+    const auto work = [&](const ExprP& st, int flops_per) {
+      b.compute(mul(mul(span(st), n), cst(flops_per * nc)));
+    };
+    const ExprP fwd_bytes = mul(span(s), cst(tables::kSpFwdDoubles * kD));
+    const ExprP bwd_bytes = mul(span(s), cst(tables::kSpBwdDoubles * kD));
+    const auto unless = [&](const Dir* d,
+                            const std::function<void()>& body) {
+      if (d == nullptr) {
+        body();
+      } else {
+        b.guarded(absent(*d), body);
+      }
+    };
+    const auto eachStage = [&](const std::function<void()>& body) {
+      b.loop("s", cst(0), stages, body);
+    };
+    const auto ifNext = [&](const std::function<void()>& body) {
+      b.guarded({Cond{add(s, cst(1)), CmpOp::Lt, stages}}, body);
+    };
+    const auto emitStage = [&](bool send) {
+      work(s, 10);
+      if (send) {
+        b.isend(dn->peer, add(cst(tag_fwd), s), fwd_bytes, {"sf", s});
+      }
+    };
+    const auto emitBack = [&] {
+      work(s, 4);
+      whenDir(b, up, [&] {
+        b.isend(up->peer, add(cst(tag_bwd), s), bwd_bytes, {"sb", s});
+      });
+    };
+    whenDir(b, up, [&] {
+      eachStage([&] {
+        b.irecv(up->peer, add(cst(tag_fwd), s), fwd_bytes, {"rf", s});
+      });
+    });
+    unless(dn, [&] {  // last rank along the line: turn around in place
+      whenDir(b, up, [&] { work(cst(0), 48); });
+      eachStage([&] {
+        unless(up, [&] { work(s, 48); });
+        whenDir(b, up, [&] {
+          ifNext([&] { work(add(s, cst(1)), 48); });
+          b.wait({"rf", s});
+        });
+        emitStage(false);
+        work(s, 14);
+        emitBack();
+      });
+    });
+    whenDir(b, dn, [&] {
+      eachStage([&] {
+        b.irecv(dn->peer, add(cst(tag_bwd), s), bwd_bytes, {"rb", s});
+      });
+      unless(up, [&] {
+        eachStage([&] {
+          work(s, 48);
+          emitStage(true);
+        });
+      });
+      whenDir(b, up, [&] {
+        work(cst(0), 48);
+        eachStage([&] {
+          ifNext([&] { work(add(s, cst(1)), 48); });
+          b.wait({"rf", s});
+          emitStage(true);
+        });
+      });
+      work(cst(0), 14);
+      eachStage([&] {
+        ifNext([&] { work(add(s, cst(1)), 14); });
+        b.wait({"rb", s});
+        emitBack();
+      });
+    });
+    whenDir(b, dn, [&] { b.waitall("sf"); });
+    whenDir(b, up, [&] { b.waitall("sb"); });
+  };
+
+  const auto directional = [&](const char* site, const Dir* up,
+                               const Dir* dn, int tf, int tb,
+                               const ExprP& lines, const ExprP& n) {
+    b.site(site);
+    b.compute(mul(bp, cst(2 * nc)));
+    solveBatch(up, dn, tf, tb, lines, n);
+    b.compute(mul(bp, cst(2 * nc)));
+  };
+
+  b.site("sp.init");
+  b.compute(mul(cells, cst(8 * sz.nz * nc)));
+  b.loop("step", cst(0), cst(niter), [&] {
+    copyFaces();
+    b.site("sp.rhs");
+    b.compute(mul(bp, cst(25 * nc)));
+    normOf();
+    directional("sp.x_solve", &g.west, &g.east, tables::kSpTagFwdX,
+                tables::kSpTagBwdX, mul(g.lny, cst(sz.nz)), g.lnx);
+    directional("sp.y_solve", &g.north, &g.south, tables::kSpTagFwdY,
+                tables::kSpTagBwdY, mul(g.lnx, cst(sz.nz)), g.lny);
+    directional("sp.z_solve", nullptr, nullptr, 0, 0, cells, cst(sz.nz));
+    normOf();
+    b.site("sp.add");
+    b.compute(mul(bp, cst(nc)));
+  });
+  normOf();
+  return symFinish(std::move(b));
+}
+
+// ---------------------------------------------------------------- BT ----
+
+SymSkeletonBuildResult buildSymBt(const SkeletonParams& p) {
+  const tables::GridSizes sz = tables::btSizes(p.cls);
+  const int niter = p.iterations > 0 ? p.iterations : sz.niter;
+  constexpr int nc = tables::kNcomp;
+  SymBuilder b("bt");
+  b.nsPerFlop(p.cost.ns_per_flop);
+  const Grid2 g = grid2(b, sz);
+  const ExprP cells = mul(g.lnx, g.lny);
+  const ExprP bp = mul(cells, cst(sz.nz));
+  const ExprP xface = mul(g.lny, cst(sz.nz * nc));
+  const ExprP yface = mul(g.lnx, cst(sz.nz * nc));
+
+  const auto copyFaces = [&] {
+    b.site("bt.copy_faces");
+    postFaces(b, g, tables::kBtTagFace, tables::kBtTagFace,
+              mul(xface, cst(kD)), mul(yface, cst(kD)));
+    b.compute(mul(cst(2), add(xface, yface)));
+    b.waitall();
+    b.compute(mul(cst(2), add(xface, yface)));
+  };
+  const auto normOf = [&] {
+    b.site("bt.norm");
+    b.compute(mul(bp, cst(2 * nc)));
+    b.mpiAllreduce(cst(1));
+  };
+
+  // One batched block-tridiagonal line solve: forward elimination waits
+  // for the upstream block, backward substitution for the downstream
+  // rhs.  Each request is a single slot (rf, sf, rb, sb) retired by its
+  // own wait.  `up`/`dn` are null for the communication-free z direction.
+  const auto solveBatch = [&](const Dir* up, const Dir* dn, int tag_fwd,
+                              int tag_bwd, const ExprP& lines,
+                              const ExprP& n) {
+    const ExprP zero = cst(0);
+    const ExprP fwd_bytes = mul(lines, cst(tables::kBtFwdDoubles * kD));
+    const ExprP bwd_bytes = mul(lines, cst(tables::kBtBwdDoubles * kD));
+    const auto work = [&](int flops_per) {
+      b.compute(mul(mul(lines, n), cst(flops_per * nc)));
+    };
+    whenDir(b, up, [&] {
+      b.irecv(up->peer, cst(tag_fwd), fwd_bytes, {"rf", zero});
+    });
+    work(40);  // lhs window
+    whenDir(b, up, [&] { b.wait({"rf", zero}); });
+    work(120);
+    whenDir(b, dn, [&] {
+      b.isend(dn->peer, cst(tag_fwd), fwd_bytes, {"sf", zero});
+      b.irecv(dn->peer, cst(tag_bwd), bwd_bytes, {"rb", zero});
+    });
+    work(8);  // bookkeeping
+    whenDir(b, dn, [&] { b.wait({"rb", zero}); });
+    work(30);
+    whenDir(b, up, [&] {
+      b.isend(up->peer, cst(tag_bwd), bwd_bytes, {"sb", zero});
+    });
+    whenDir(b, dn, [&] { b.wait({"sf", zero}); });
+    whenDir(b, up, [&] { b.wait({"sb", zero}); });
+  };
+
+  const auto runDirection = [&](const char* site, const Dir* up,
+                                const Dir* dn, int tf, int tb,
+                                const ExprP& lines, const ExprP& n) {
+    b.site(site);
+    b.compute(mul(bp, cst(2 * nc)));
+    solveBatch(up, dn, tf, tb, lines, n);
+    b.compute(mul(bp, cst(2 * nc)));
+  };
+
+  b.site("bt.init");
+  b.compute(mul(bp, cst(8 * nc)));
+  b.loop("step", cst(0), cst(niter), [&] {
+    copyFaces();
+    b.site("bt.rhs");
+    b.compute(mul(bp, cst(10 * nc)));
+    normOf();
+    runDirection("bt.x_solve", &g.west, &g.east, tables::kBtTagFwdX,
+                 tables::kBtTagBwdX, mul(g.lny, cst(sz.nz)), g.lnx);
+    runDirection("bt.y_solve", &g.north, &g.south, tables::kBtTagFwdY,
+                 tables::kBtTagBwdY, mul(g.lnx, cst(sz.nz)), g.lny);
+    runDirection("bt.z_solve", nullptr, nullptr, 0, 0, cells, cst(sz.nz));
+    normOf();
+    b.site("bt.add");
+    b.compute(mul(bp, cst(nc)));
+  });
+  normOf();
+  return symFinish(std::move(b));
+}
+
 // ---------------------------------------------------------------- MG ----
 
 SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
@@ -212,9 +580,9 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
   b.family({Cond{mod(n, px), CmpOp::Eq, cst(0)},
             Cond{mod(n, py), CmpOp::Eq, cst(0)},
             Cond{mod(n, pz), CmpOp::Eq, cst(0)}});
-  // Closed form of the geometry loop in skeletons.cpp: levels are pushed
-  // while n / 2^l stays divisible (first failure at n_l < pz) and the next
-  // grid is at least 4 cells; both stops collapse to this expression.
+  // Closed form of the kernel's level loop: levels are pushed while
+  // n / 2^l stays divisible (first failure at n_l < pz) and the next grid
+  // is at least 4 cells; both stops collapse to this expression.
   const ExprP nlevels =
       add(sub(clog2(n), clog2(emax(cst(4), pz))), cst(1));
 
@@ -248,10 +616,6 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
   const ExprP cx = mod(rnk(), px);
   const ExprP cy = mod(floordiv(rnk(), px), py);
   const ExprP cz = floordiv(rnk(), mul(px, py));
-  struct Dir {
-    Guard g;
-    ExprP peer;
-  };
   const auto dirAt = [&](int d) -> Dir {
     switch (d) {
       case 0: return {{Cond{cx, CmpOp::Ge, cst(1)}}, sub(rnk(), cst(1))};
@@ -276,8 +640,9 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
       for (int d = 0; d < 6; ++d) {
         const Dir dir = dirAt(d);
         b.guarded(dir.g, [&] {
-          // Message = sender's packed face (not the ghost-inclusive
-          // receive buffer), same as the unrolled builder.
+          // The receive buffer is the ghost-inclusive inbox, but the wire
+          // message (what MATCH records carry) is the sender's packed
+          // face: model the message, not the buffer.
           b.irecv(dir.peer, tagAt(l, d), mul(faceAt(l, d), cst(kD)));
         });
       }
@@ -375,8 +740,8 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
   b.compute(mul(cst(8), pointsAt(cst(0))));
   residualNorm();
   b.loop("c", cst(0), cst(cycles), [&] {
-    // The V-cycle recursion of skeletons.cpp, flattened: descend through
-    // levels 0..nlevels-2, relax at the coarsest, ascend back up.
+    // The kernel's V-cycle recursion, flattened: descend through levels
+    // 0..nlevels-2, relax at the coarsest, ascend back up.
     b.loop("l", cst(0), sub(nlevels, cst(1)), [&] {
       const ExprP l = var("l");
       smooth(l);
@@ -423,18 +788,38 @@ SymSkeletonBuildResult buildSymMg(const SkeletonParams& p) {
 
 SymSkeletonBuildResult buildNasSymSkeleton(const std::string& kernel,
                                            const SkeletonParams& params) {
+  if (kernel == "bt") return buildSymBt(params);
   if (kernel == "cg") return buildSymCg(params);
   if (kernel == "ep") return buildSymEp(params);
-  if (kernel == "is") return buildSymIs(params);
   if (kernel == "ft") return buildSymFt(params);
+  if (kernel == "is") return buildSymIs(params);
+  if (kernel == "lu") return buildSymLu(params);
   if (kernel == "mg") return buildSymMg(params);
-  return symFail("kernel '" + kernel +
-                 "' has no symbolic builder (want cg|ep|ft|is|mg)");
+  if (kernel == "sp") return buildSymSp(params);
+  return symFail("unknown kernel '" + kernel +
+                 "' (want bt|cg|ep|ft|is|lu|mg|sp)");
 }
 
-const std::vector<std::string>& nasSymbolicKernels() {
-  static const std::vector<std::string> kKernels = {"cg", "ep", "ft", "is",
-                                                    "mg"};
+SkeletonBuildResult buildNasSkeleton(const std::string& kernel,
+                                     const SkeletonParams& params) {
+  SkeletonBuildResult out;
+  const SymSkeletonBuildResult sym = buildNasSymSkeleton(kernel, params);
+  if (!sym.ok()) {
+    out.error = sym.error;
+    return out;
+  }
+  InstantiateResult inst = instantiate(sym.skeleton, params.nranks);
+  if (!inst.ok()) {
+    out.error = kernel + ": " + inst.error;
+    return out;
+  }
+  out.skeleton = std::move(inst.skeleton);
+  return out;
+}
+
+const std::vector<std::string>& nasKernels() {
+  static const std::vector<std::string> kKernels = {
+      "bt", "cg", "ep", "ft", "is", "lu", "mg", "sp"};
   return kKernels;
 }
 

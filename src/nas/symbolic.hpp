@@ -1,44 +1,74 @@
-// Rank-symbolic skeletons of the NAS kernel reproductions.
+// Communication skeletons of the NAS kernel reproductions.
 //
-// Each builder emits ONE skel::sym::SymSkeleton template describing every
-// rank at every admissible job size P, where skeletons.cpp unrolls one op
-// list per rank at one concrete P.  The two are tied together by the
-// instantiation gate (tests/symbolic_test.cpp + the sym_equiv_* ctest
-// gates): instantiate(symbolic, P) must equal the unrolled builder's
-// output byte-for-byte at randomized P.  On top of the symbolic form,
-// ovprof_check --symbolic proves per-(src,dst,tag) matching and
-// deadlock-freedom for the whole rank-count family in one run and
-// extracts closed-form per-site cost terms for the model layer.
+// Each builder emits ONE skel::sym::SymSkeleton template describing the
+// exact op sequence its kernel executes — same peers, same tags, same
+// byte counts, same collective decompositions — for every rank at every
+// admissible job size P, without running the simulator.  That template is
+// the only static description of the kernel's communication:
 //
-// Converted kernels: cg, ep, is, ft, and mg (all three variants).  IS's
-// data-dependent alltoallv keeps kAnyBytes wildcard terms, exactly like
-// the unrolled builder.  LU/SP/BT stay unrolled-only for now (their
-// stage-pipelined sweeps use per-stage Wait, which the symbolic IR's
-// implicit-request model does not cover).
+//   * buildNasSkeleton lowers it to the unrolled skel::Skeleton at one P
+//     (skel::sym::instantiate), which ovprof_check analyzes (matching,
+//     deadlock, overlap windows) and live traces are conformance-checked
+//     against;
+//   * ovprof_check --symbolic proves per-(src,dst,tag) matching and
+//     deadlock-freedom for the whole rank-count family in one run and
+//     extracts closed-form per-site cost terms for the model layer;
+//   * the family guard is the set of rank counts the kernel supports
+//     (nas_run rejects the rest up front).
+//
+// The per-kernel conformance ctests (a traced run embedded into the
+// instantiated skeleton's match relation) keep the templates honest
+// against the live kernels; iteration counts need not agree with a
+// particular run, but peers/tags/bytes must.  IS's data-dependent
+// alltoallv keeps kAnyBytes wildcard terms.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "nas/skeletons.hpp"
+#include "nas/common.hpp"
+#include "skeleton/ir.hpp"
 #include "skeleton/symbolic/ir.hpp"
 
 namespace ovp::nas {
 
+/// Parameters mirroring the subset of NasParams that shapes communication.
+struct SkeletonParams {
+  /// Job size for buildNasSkeleton (the template covers every P).
+  int nranks = 4;
+  Class cls = Class::S;
+  /// Outer iteration override (0 = class default), like NasParams.
+  int iterations = 0;
+  /// MG only: "mpi", "armci", or "armci-nb" (default, like MgParams).
+  std::string variant;
+  /// Flop pricing for the compute ops (overlap-window analysis input).
+  CostModel cost;
+};
+
 struct SymSkeletonBuildResult {
   skel::sym::SymSkeleton skeleton;
-  /// Non-empty on failure (kernel without a symbolic builder, bad variant).
+  /// Non-empty on failure (unknown kernel, bad variant).
   std::string error;
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Builds the symbolic skeleton for `kernel` in {cg,ep,ft,is,mg}.  Uses
-/// the same SkeletonParams as buildNasSkeleton; `nranks` is ignored (the
-/// template covers all P in its family).
+/// Builds the symbolic template for `kernel` (one of nasKernels());
+/// `params.nranks` is ignored.
 [[nodiscard]] SymSkeletonBuildResult buildNasSymSkeleton(
     const std::string& kernel, const SkeletonParams& params);
 
-/// Kernels with a symbolic builder, in golden-file order.
-[[nodiscard]] const std::vector<std::string>& nasSymbolicKernels();
+struct SkeletonBuildResult {
+  skel::Skeleton skeleton;
+  /// Non-empty on failure (unknown kernel, P outside the family...).
+  std::string error;
+  [[nodiscard]] bool ok() const { return error.empty(); }
+};
+
+/// instantiate(buildNasSymSkeleton(kernel, params), params.nranks).
+[[nodiscard]] SkeletonBuildResult buildNasSkeleton(
+    const std::string& kernel, const SkeletonParams& params);
+
+/// The kernel names both builders accept, in golden-file order.
+[[nodiscard]] const std::vector<std::string>& nasKernels();
 
 }  // namespace ovp::nas

@@ -90,143 +90,6 @@ void RankBuilder::fence(Rank target) {
   op.peer = target;
 }
 
-// ---- MPI collective expansions ----
-//
-// Each method is the per-rank slice of the corresponding algorithm in
-// src/mpi/collectives.cpp, with identical peers, tags and byte counts.
-
-void RankBuilder::mpiBarrier() {
-  const int P = nranks_;
-  const Rank r = rank_;
-  for (int k = 1; k < P; k <<= 1) {
-    const Rank to = static_cast<Rank>((r + k) % P);
-    const Rank from = static_cast<Rank>((r - k + P) % P);
-    sendrecv(to, tags::kBarrier, 1, from, tags::kBarrier, 1);
-  }
-}
-
-void RankBuilder::mpiBcast(Bytes n, Rank root) {
-  const int P = nranks_;
-  const int vrank = (rank_ - root + P) % P;
-  int mask = 1;
-  while (mask < P) {
-    if (vrank & mask) {
-      const Rank parent = static_cast<Rank>(((vrank & ~mask) + root) % P);
-      recv(parent, tags::kBcast, n);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < P) {
-      const Rank child = static_cast<Rank>((vrank + mask + root) % P);
-      send(child, tags::kBcast, n);
-    }
-    mask >>= 1;
-  }
-}
-
-void RankBuilder::mpiReduce(int count, Rank root) {
-  const int P = nranks_;
-  const int vrank = (rank_ - root + P) % P;
-  const Bytes n = static_cast<Bytes>(count) * 8;  // doubles on the wire
-  int mask = 1;
-  while (mask < P) {
-    if (vrank & mask) {
-      const Rank parent = static_cast<Rank>(((vrank & ~mask) + root) % P);
-      send(parent, tags::kReduce, n);
-      break;
-    }
-    if (vrank + mask < P) {
-      const Rank child = static_cast<Rank>((vrank + mask + root) % P);
-      recv(child, tags::kReduce, n);
-    }
-    mask <<= 1;
-  }
-}
-
-void RankBuilder::mpiAllreduce(int count) {
-  mpiReduce(count, 0);
-  mpiBcast(static_cast<Bytes>(count) * 8, 0);
-}
-
-void RankBuilder::mpiAlltoall(Bytes bytes_per_rank) {
-  const int P = nranks_;
-  const Rank r = rank_;
-  std::vector<int> reqs;
-  reqs.reserve(static_cast<std::size_t>(2 * (P - 1)));
-  for (int i = 1; i < P; ++i) {
-    const Rank peer = static_cast<Rank>((r + i) % P);
-    reqs.push_back(irecv(peer, tags::kAlltoall, bytes_per_rank));
-  }
-  for (int i = 1; i < P; ++i) {
-    const Rank peer = static_cast<Rank>((r + i) % P);
-    reqs.push_back(isend(peer, tags::kAlltoall, bytes_per_rank));
-  }
-  waitall(std::move(reqs));
-}
-
-void RankBuilder::mpiAlltoallvAny() {
-  const int P = nranks_;
-  const Rank r = rank_;
-  std::vector<int> reqs;
-  reqs.reserve(static_cast<std::size_t>(2 * (P - 1)));
-  for (int i = 1; i < P; ++i) {
-    const Rank peer = static_cast<Rank>((r + i) % P);
-    reqs.push_back(irecv(peer, tags::kAlltoallv, kAnyBytes));
-  }
-  for (int i = 1; i < P; ++i) {
-    const Rank peer = static_cast<Rank>((r + i) % P);
-    reqs.push_back(isend(peer, tags::kAlltoallv, kAnyBytes));
-  }
-  waitall(std::move(reqs));
-}
-
-void RankBuilder::mpiAllgather(Bytes bytes_per_rank) {
-  const int P = nranks_;
-  const Rank r = rank_;
-  std::vector<int> reqs;
-  reqs.reserve(static_cast<std::size_t>(2 * (P - 1)));
-  for (int i = 1; i < P; ++i) {
-    const Rank peer = static_cast<Rank>((r + i) % P);
-    reqs.push_back(irecv(peer, tags::kAllgather, bytes_per_rank));
-  }
-  for (int i = 1; i < P; ++i) {
-    const Rank peer = static_cast<Rank>((r + i) % P);
-    reqs.push_back(isend(peer, tags::kAllgather, bytes_per_rank));
-  }
-  waitall(std::move(reqs));
-}
-
-void RankBuilder::mpiGather(Bytes n, Rank root) {
-  const int P = nranks_;
-  if (rank_ == root) {
-    std::vector<int> reqs;
-    for (Rank p = 0; p < P; ++p) {
-      if (p == root) continue;
-      reqs.push_back(irecv(p, tags::kGather, n));
-    }
-    waitall(std::move(reqs));
-  } else {
-    send(root, tags::kGather, n);
-  }
-}
-
-void RankBuilder::mpiScatter(Bytes n, Rank root) {
-  const int P = nranks_;
-  if (rank_ == root) {
-    std::vector<int> reqs;
-    for (Rank p = 0; p < P; ++p) {
-      if (p == root) continue;
-      reqs.push_back(isend(p, tags::kScatter, n));
-    }
-    waitall(std::move(reqs));
-  } else {
-    recv(root, tags::kScatter, n);
-  }
-}
-
 Builder::Builder(std::string name, int nranks) : name_(std::move(name)) {
   ranks_.reserve(static_cast<std::size_t>(nranks));
   for (Rank r = 0; r < nranks; ++r) ranks_.emplace_back(r, nranks);

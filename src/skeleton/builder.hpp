@@ -2,15 +2,10 @@
 //
 // RankBuilder assembles one rank's unrolled op list with automatic request
 // numbering and a current call-site label; Builder bundles one RankBuilder
-// per rank and assembles the final Skeleton.
-//
-// The mpi* methods expand MPI collectives into the exact point-to-point
-// decomposition src/mpi/collectives.cpp executes (same algorithms, same
-// reserved tags, same byte counts).  This is load-bearing: the trace
-// conformance gate checks every dynamically observed MATCH edge against the
-// skeleton's static match relation, so a skeleton built with these helpers
-// stays byte-for-byte admissible for a live traced run — and the ctest
-// sweep over all NAS kernels is what keeps the two decompositions in sync.
+// per rank and assembles the final Skeleton.  The NAS skeletons reach it
+// through skel::sym::instantiate; tests build fixtures with it directly.
+// MPI collectives are expanded by the symbolic builder (symbolic/
+// builder.hpp), which lowers them through these point-to-point emitters.
 #pragma once
 
 #include <string>
@@ -22,7 +17,8 @@ namespace ovp::skel {
 
 /// Reserved collective tags, mirroring src/mpi/collectives.cpp (which keeps
 /// them in an anonymous namespace on purpose — application code must not
-/// use them).  The conformance tests fail if the two ever drift.
+/// use them).  The conformance tests fail if the two ever drift.  The
+/// symbolic collective expansions (symbolic/builder.cpp) emit them.
 namespace tags {
 inline constexpr int kBarrier = (1 << 20) + 1;
 inline constexpr int kBcast = (1 << 20) + 2;
@@ -57,18 +53,6 @@ class RankBuilder {
   void put(Rank target, Bytes bytes, bool nb);
   void get(Rank target, Bytes bytes, bool nb);
   void fence(Rank target);
-
-  // ---- MPI collective expansions (see src/mpi/collectives.cpp) ----
-  void mpiBarrier();
-  void mpiBcast(Bytes n, Rank root);
-  void mpiReduce(int count, Rank root);
-  void mpiAllreduce(int count);  // reduce to 0 + bcast from 0
-  void mpiAlltoall(Bytes bytes_per_rank);
-  /// alltoallv with data-dependent counts: kAnyBytes to/from every peer.
-  void mpiAlltoallvAny();
-  void mpiAllgather(Bytes bytes_per_rank);
-  void mpiGather(Bytes n, Rank root);
-  void mpiScatter(Bytes n, Rank root);
 
   [[nodiscard]] Program take() { return std::move(prog_); }
 

@@ -10,11 +10,14 @@
 // running the simulator (the exascale-diagnostics motivation: analysis must
 // scale beyond what can be executed).
 //
-// Loops are unrolled at build time: the scaled-down NAS classes make the
-// flat form small enough to diff, and unrolling keeps every analysis a
-// plain graph/list walk with no symbolic iteration domains.  Data-dependent
-// quantities that a static description cannot know (IS's alltoallv key
-// counts) use the kAnyBytes wildcard, mirroring mpi::kAnySource/kAnyTag.
+// This is the lowered form for one job size: the NAS kernels are written
+// once as rank-symbolic templates (symbolic/ir.hpp) and
+// skel::sym::instantiate unrolls their loops and guards for a concrete P,
+// which keeps every analysis here a plain graph/list walk with no symbolic
+// iteration domains (the scaled-down NAS classes keep the flat form small
+// enough to diff).  Data-dependent quantities that a static description
+// cannot know (IS's alltoallv key counts) use the kAnyBytes wildcard,
+// mirroring mpi::kAnySource/kAnyTag.
 #pragma once
 
 #include <cstdint>

@@ -30,18 +30,20 @@ void SymBuilder::compute(ExprP flops) {
   n.flops = std::move(flops);
 }
 
-void SymBuilder::isend(ExprP dst, ExprP tag, ExprP bytes) {
+void SymBuilder::isend(ExprP dst, ExprP tag, ExprP bytes, ReqRef req) {
   SymNode& n = emitOp(OpKind::Isend);
   n.peer = std::move(dst);
   n.tag = std::move(tag);
   n.bytes = std::move(bytes);
+  n.req = std::move(req);
 }
 
-void SymBuilder::irecv(ExprP src, ExprP tag, ExprP bytes) {
+void SymBuilder::irecv(ExprP src, ExprP tag, ExprP bytes, ReqRef req) {
   SymNode& n = emitOp(OpKind::Irecv);
   n.peer = std::move(src);
   n.tag = std::move(tag);
   n.bytes = std::move(bytes);
+  n.req = std::move(req);
 }
 
 void SymBuilder::send(ExprP dst, ExprP tag, ExprP bytes) {
@@ -58,7 +60,15 @@ void SymBuilder::recv(ExprP src, ExprP tag, ExprP bytes) {
   n.bytes = std::move(bytes);
 }
 
-void SymBuilder::waitall() { emitOp(OpKind::Waitall); }
+void SymBuilder::wait(ReqRef req) {
+  SymNode& n = emitOp(OpKind::Wait);
+  n.req = std::move(req);
+}
+
+void SymBuilder::waitall(std::string group) {
+  SymNode& n = emitOp(OpKind::Waitall);
+  n.req.group = std::move(group);
+}
 
 void SymBuilder::sendrecv(ExprP dst, ExprP stag, ExprP sbytes, ExprP src,
                           ExprP rtag, ExprP rbytes) {
@@ -123,9 +133,10 @@ void SymBuilder::guarded(Guard g, const std::function<void()>& body) {
 
 // ---- MPI collective expansions ----
 //
-// Each expansion instantiates, per rank and per P, to exactly the op
-// sequence RankBuilder's concrete twin emits; the derivations are spelled
-// out in DESIGN.md 5.16 and enforced by the instantiation gate.
+// Each expansion instantiates, per rank and per P, to exactly the
+// point-to-point sequence the same algorithm in src/mpi/collectives.cpp
+// executes; the derivations are spelled out in DESIGN.md 5.16 and the
+// per-kernel conformance gates check them against live traces.
 
 void SymBuilder::mpiBarrier() {
   // Dissemination rounds k = 0 .. clog2(P)-1: concrete `for (k = 1; k < P;

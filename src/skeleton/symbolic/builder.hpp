@@ -4,11 +4,10 @@
 // for all ranks and all job sizes instead of one op list per concrete
 // rank: loops take symbolic bounds plus a body callback, `guarded()` opens
 // a rank-role case split, and every peer/tag/bytes/flops argument is an
-// Expr.  The mpi* helpers expand collectives into the same point-to-point
-// decompositions as RankBuilder's (same reserved tags, same op order);
-// their loop/guard shapes are the canonical forms the symbolic matching
-// and deadlock provers recognize (see verify.cpp).  The instantiation gate
-// keeps the two decompositions byte-identical.
+// Expr.  The mpi* helpers expand collectives into the point-to-point
+// decompositions src/mpi/collectives.cpp executes (same reserved tags,
+// same op order); their loop/guard shapes are the canonical forms the
+// symbolic matching and deadlock provers recognize (see verify.cpp).
 #pragma once
 
 #include <functional>
@@ -33,12 +32,17 @@ class SymBuilder {
 
   // -- ops (symbolic analogues of RankBuilder's emitters) --
   void compute(ExprP flops);
-  void isend(ExprP dst, ExprP tag, ExprP bytes);
-  void irecv(ExprP src, ExprP tag, ExprP bytes);
+  /// Nonblocking posts; a named `req` opens the slot group[index], an
+  /// unnamed one joins the anonymous group.
+  void isend(ExprP dst, ExprP tag, ExprP bytes, ReqRef req = {});
+  void irecv(ExprP src, ExprP tag, ExprP bytes, ReqRef req = {});
   void send(ExprP dst, ExprP tag, ExprP bytes);
   void recv(ExprP src, ExprP tag, ExprP bytes);
-  /// Retires every request opened since the previous waitall.
-  void waitall();
+  /// Retires the one named slot `req`.
+  void wait(ReqRef req);
+  /// Retires every open request of `group`; the default (anonymous)
+  /// group is every unnamed request opened since the previous waitall().
+  void waitall(std::string group = {});
   void sendrecv(ExprP dst, ExprP stag, ExprP sbytes, ExprP src, ExprP rtag,
                 ExprP rbytes);
   void barrier();
@@ -55,7 +59,7 @@ class SymBuilder {
              const std::function<void()>& body);
   void guarded(Guard g, const std::function<void()>& body);
 
-  // -- MPI collective expansions (symbolic twins of RankBuilder's) --
+  // -- MPI collective expansions (src/mpi/collectives.cpp algorithms) --
   void mpiBarrier();
   void mpiBcast(ExprP n, ExprP root);
   void mpiReduce(ExprP count, ExprP root);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -31,13 +32,20 @@ bool sendLike(OpKind op) {
 
 // ---- window annotation -------------------------------------------------
 //
-// One structural pass in template (emission) order: nonblocking posts open
-// a window, waitall/fence/barrier close it, Compute nodes record the state
-// they were visited in.  Both the closed-form extraction and the
-// cross-check interpreter read this map, so the two cannot disagree about
-// what "inside a window" means.
+// One structural pass in template (emission) order.  The state is the set
+// of request groups that may hold an open request ("" is the anonymous
+// group, which also carries nonblocking RMA): posts add their group, an
+// unnamed waitall retires the anonymous group, a named waitall or a wait
+// retires its named group, fence/barrier retire everything.  Compute nodes
+// record whether the set was non-empty when visited.  A wait closes its
+// group's window at that site even when a loop drains the group one slot
+// per iteration (SP's staged solves), so window flops there are a lower
+// bound.  Both the closed-form extraction and the cross-check interpreter
+// read this map, so the two cannot disagree about what "inside a window"
+// means.
 
-void annotateWindows(const std::vector<SymNodeP>& body, bool& open,
+void annotateWindows(const std::vector<SymNodeP>& body,
+                     std::set<std::string>& open,
                      std::map<const SymNode*, bool>& in_window) {
   for (const SymNodeP& n : body) {
     if (n->node != SymNodeKind::Op) {
@@ -47,19 +55,22 @@ void annotateWindows(const std::vector<SymNodeP>& body, bool& open,
     switch (n->op) {
       case OpKind::Isend:
       case OpKind::Irecv:
-        open = true;
+        open.insert(n->req.group);
         break;
       case OpKind::RmaPut:
       case OpKind::RmaGet:
-        if (n->nb) open = true;
+        if (n->nb) open.insert("");
         break;
+      case OpKind::Wait:
       case OpKind::Waitall:
+        open.erase(n->req.group);
+        break;
       case OpKind::Fence:
       case OpKind::Barrier:
-        open = false;
+        open.clear();
         break;
       case OpKind::Compute:
-        in_window[n.get()] = open;
+        in_window[n.get()] = !open.empty();
         break;
       default:
         break;
@@ -245,7 +256,7 @@ SymCostReport extractCosts(const SymSkeleton& s) {
   out.family = s.family;
 
   Extractor ex;
-  bool open = false;
+  std::set<std::string> open;
   annotateWindows(s.body, open, ex.in_window);
   std::vector<const SymNode*> frames;
   ex.walk(s.body, frames);
@@ -434,7 +445,7 @@ bool tallyCosts(const SymSkeleton& s, int nprocs,
                 std::string* error) {
   out->clear();
   std::map<const SymNode*, bool> in_window;
-  bool open = false;
+  std::set<std::string> open;
   annotateWindows(s.body, open, in_window);
   for (std::int64_t r = 0; r < nprocs; ++r) {
     Tally t;

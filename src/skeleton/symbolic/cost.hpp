@@ -14,7 +14,8 @@
 //   flops         compute flops issued
 //   window_flops  flops issued while a nonblocking window is open (after
 //                 an isend/irecv/nonblocking-put site and before the
-//                 closing waitall/fence/barrier, in template order)
+//                 wait/waitall/fence/barrier that retires its request
+//                 group, in template order)
 //
 // — each still evaluable in O(template * P) without instantiating any
 // skeleton.  `ovprof-symskel-v1` is the interchange form ovprof_model

@@ -1,12 +1,12 @@
 // Lowering a symbolic skeleton template to the unrolled IR at concrete P.
 //
-// This is the bridge the instantiation gate stands on: for every
-// admissible P, instantiate() must produce byte-for-byte the same
-// Skeleton (via skeletonToString) as the hand-unrolled builder, so the
-// symbolic layer is *validated against* the concrete one rather than
-// trusted alongside it.  Request numbering, compute-cost pricing and
-// zero-cost-drop semantics are inherited from skel::RankBuilder so the
-// two paths cannot drift in those details.
+// This is how every concrete NAS skeleton is built: nas::buildNasSkeleton
+// is instantiate(buildNasSymSkeleton(kernel), P), so the static checker,
+// the conformance gate and the symbolic prover all read one description
+// per kernel.  The instantiation gate (tests/golden/skeleton_digests.txt)
+// pins the lowering to the hand-unrolled builders it replaced.  Request
+// numbering, compute-cost pricing and zero-cost-drop semantics come from
+// skel::RankBuilder.
 #pragma once
 
 #include <string>
@@ -21,6 +21,9 @@ namespace ovp::skel::sym {
 [[nodiscard]] bool familyAdmits(const SymSkeleton& s, int nprocs,
                                 std::string* why);
 
+/// Printable family: "P >= 1", "P >= 1 with (32 % P) == 0".
+[[nodiscard]] std::string familyText(const SymSkeleton& s);
+
 struct InstantiateResult {
   Skeleton skeleton;
   std::string error;  // non-empty on failure
@@ -28,7 +31,9 @@ struct InstantiateResult {
 };
 
 /// Unrolls the template for every rank at job size `nprocs`.  Fails when
-/// P is outside the family or any expression fails to evaluate.
+/// P is outside the family, any expression fails to evaluate, or a rank
+/// breaks the request discipline (waits on a slot that is not open,
+/// reopens an open slot, or ends with requests open).
 [[nodiscard]] InstantiateResult instantiate(const SymSkeleton& s, int nprocs);
 
 }  // namespace ovp::skel::sym

@@ -1,6 +1,7 @@
 #include "skeleton/symbolic/ir.hpp"
 
 #include <cstdio>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -41,6 +42,7 @@ SymNode cloneNode(const SymNode& n) {
   c.rtag = n.rtag;
   c.rbytes = n.rbytes;
   c.nb = n.nb;
+  c.req = n.req;
   c.site = n.site;
   c.lvar = n.lvar;
   c.begin = n.begin;
@@ -75,6 +77,14 @@ void printOp(const SymNode& n, std::string& out) {
     out += ' ';
     out += toString(e);
   };
+  const auto slot = [&] {
+    if (!n.req.named()) return;
+    out += " req ";
+    out += n.req.group;
+    out += '[';
+    out += toString(n.req.index);
+    out += ']';
+  };
   out += opKindName(n.op);
   switch (n.op) {
     case OpKind::Compute:
@@ -89,6 +99,7 @@ void printOp(const SymNode& n, std::string& out) {
       expr(n.tag);
       out += " bytes";
       expr(n.bytes);
+      slot();
       break;
     case OpKind::Irecv:
     case OpKind::Recv:
@@ -98,8 +109,13 @@ void printOp(const SymNode& n, std::string& out) {
       expr(n.tag);
       out += " bytes";
       expr(n.bytes);
+      slot();
       break;
     case OpKind::Waitall:
+      if (n.req.named()) {
+        out += " group ";
+        out += n.req.group;
+      }
       break;
     case OpKind::Sendrecv:
       out += " dst";
@@ -131,7 +147,7 @@ void printOp(const SymNode& n, std::string& out) {
       expr(n.peer);
       break;
     case OpKind::Wait:
-      // validateSym rejects Wait; keep the printer total anyway.
+      slot();
       break;
   }
   if (!n.site.empty()) {
@@ -207,8 +223,63 @@ bool varsBound(const ExprP& e, const std::set<std::string>& bound) {
   return true;
 }
 
+// Named-request bookkeeping in template (emission) order.  Structural
+// only: guards and loop trip counts are not evaluated, instantiate()
+// checks the concrete slot discipline at each P.
+struct ReqScope {
+  std::map<std::string, std::vector<ExprP>> opened;  // group -> indices
+  std::set<std::string> pending;  // opened since last retired
+};
+
+std::string checkRequest(const SymNode& node, ReqScope& reqs) {
+  const ReqRef& q = node.req;
+  switch (node.op) {
+    case OpKind::Isend:
+    case OpKind::Irecv:
+      if (!q.named()) return std::string();
+      if (q.index == nullptr) {
+        return "request group " + q.group + " opened without an index";
+      }
+      reqs.opened[q.group].push_back(q.index);
+      reqs.pending.insert(q.group);
+      return std::string();
+    case OpKind::Wait: {
+      if (!q.named() || q.index == nullptr) {
+        return "wait must name one request slot group[index]";
+      }
+      const auto it = reqs.opened.find(q.group);
+      if (it == reqs.opened.end()) {
+        return "wait on request group " + q.group +
+               ", which was never opened";
+      }
+      bool known = false;
+      for (const ExprP& i : it->second) known = known || equal(i, q.index);
+      if (!known) {
+        return "wait on " + q.group + "[" + toString(q.index) +
+               "], an index the group was never opened with";
+      }
+      reqs.pending.erase(q.group);
+      return std::string();
+    }
+    case OpKind::Waitall:
+      if (!q.named()) return std::string();
+      if (reqs.opened.count(q.group) == 0) {
+        return "waitall on request group " + q.group +
+               ", which was never opened";
+      }
+      reqs.pending.erase(q.group);
+      return std::string();
+    default:
+      if (q.named()) {
+        return std::string("request name on a ") + opKindName(node.op) +
+               " op";
+      }
+      return std::string();
+  }
+}
+
 std::string checkBody(const std::vector<SymNodeP>& body,
-                      std::set<std::string>& bound) {
+                      std::set<std::string>& bound, ReqScope& reqs) {
   const auto need = [&](const ExprP& e, const char* what) -> std::string {
     if (e == nullptr) return std::string("missing ") + what + " expression";
     if (!varsBound(e, bound)) {
@@ -248,13 +319,14 @@ std::string checkBody(const std::vector<SymNodeP>& body,
           case OpKind::Fence:
             err = need(node->peer, "target");
             break;
+          case OpKind::Wait:
           case OpKind::Waitall:
           case OpKind::Barrier:
             break;
-          case OpKind::Wait:
-            err = "Wait ops are not representable symbolically "
-                  "(requests are implicit; use Waitall)";
-            break;
+        }
+        if (err.empty()) err = checkRequest(*node, reqs);
+        if (err.empty() && node->req.index != nullptr) {
+          err = need(node->req.index, "request index");
         }
         if (!err.empty()) return err;
         if (!node->body.empty()) return "op node must be a leaf";
@@ -272,7 +344,7 @@ std::string checkBody(const std::vector<SymNodeP>& body,
         if (err.empty()) err = need(node->end, "loop end");
         if (!err.empty()) return err;
         bound.insert(node->lvar);
-        err = checkBody(node->body, bound);
+        err = checkBody(node->body, bound, reqs);
         bound.erase(node->lvar);
         if (!err.empty()) return err;
         break;
@@ -283,7 +355,7 @@ std::string checkBody(const std::vector<SymNodeP>& body,
             return "unbound variable in guard: " + toString(c);
           }
         }
-        std::string err = checkBody(node->body, bound);
+        std::string err = checkBody(node->body, bound, reqs);
         if (!err.empty()) return err;
         break;
       }
@@ -307,7 +379,13 @@ std::string validateSym(const SymSkeleton& s) {
     }
   }
   std::set<std::string> bound;
-  return checkBody(s.body, bound);
+  ReqScope reqs;
+  std::string err = checkBody(s.body, bound, reqs);
+  if (err.empty() && !reqs.pending.empty()) {
+    err = "template leaves named request group " + *reqs.pending.begin() +
+          " open (no later wait/waitall)";
+  }
+  return err;
 }
 
 }  // namespace ovp::skel::sym

@@ -7,15 +7,23 @@
 // trees over the symbolic rank `r`, the job size `P`, and enclosing loop
 // variables.  One template describes the behaviour of every rank at every
 // admissible job size; `instantiate()` (instantiate.hpp) lowers it to the
-// unrolled IR for a concrete P, and the instantiation gate in
-// tests/symbolic_test.cpp checks that lowering is byte-identical to the
-// hand-unrolled builders.
+// unrolled IR for a concrete P.  The NAS templates in src/nas/symbolic.cpp
+// are the only description of each kernel's communication; the
+// instantiation gate in tests/symbolic_test.cpp pins their lowering to the
+// digests of the hand-unrolled builders they replaced.
 //
 // Semantics notes:
-//  * Request management is implicit.  Isend/Irecv open requests; a Waitall
-//    node retires *all* requests opened since the previous Waitall (in
-//    emission order).  Every builder in this repo follows that discipline,
-//    so the symbolic IR does not carry request-id expressions at all.
+//  * Request management is implicit by default.  Unnamed Isend/Irecv nodes
+//    open requests of the anonymous group; an unnamed Waitall retires every
+//    anonymous request opened since the previous unnamed Waitall (in
+//    emission order).  Most builders follow that post-all/wait-all
+//    discipline and never name a request.
+//  * Named request groups cover the rest (SP's and BT's pipelined solves
+//    retire single requests while others stay open).  An Isend/Irecv may
+//    carry `req = {group, index}`, opening the slot group[index]; a Wait
+//    retires exactly one named slot; a Waitall naming a group retires
+//    every open slot of that group, in emission order.  Named and
+//    anonymous requests never retire each other.
 //  * Compute nodes carry a flop-count expression; instantiation prices it
 //    through the same CostModel as the concrete builders (so the
 //    double-rounding behaviour matches exactly).
@@ -39,6 +47,14 @@ enum class SymNodeKind : std::uint8_t {
   If,    // guarded block (conjunction of Cond atoms)
 };
 
+/// A named request slot `group[index]` (see the semantics notes above).
+/// An empty group is the anonymous group; `index` is unused on Waitall.
+struct ReqRef {
+  std::string group;
+  ExprP index;
+  [[nodiscard]] bool named() const { return !group.empty(); }
+};
+
 struct SymNode;
 using SymNodeP = std::unique_ptr<SymNode>;
 
@@ -55,6 +71,7 @@ struct SymNode {
   ExprP rtag;    // Sendrecv: receive-side tag
   ExprP rbytes;  // Sendrecv: receive-side bytes
   bool nb = false;  // RmaPut/RmaGet: non-blocking flavour
+  ReqRef req;       // Isend/Irecv/Wait: slot; Waitall: group (may be empty)
   std::string site;  // source-site label, same vocabulary as skel::Op
 
   // -- Loop payload --
@@ -97,8 +114,11 @@ struct SymSkeleton {
 [[nodiscard]] std::string symSkeletonToString(const SymSkeleton& s);
 
 /// Structural sanity: loop vars unique along each path, guard/loop-bound
-/// expressions only reference bound vars, Wait/unknown ops absent, family
-/// guard mentions neither `r` nor loop vars.  Empty string = OK.
+/// expressions only reference bound vars, family guard mentions neither
+/// `r` nor loop vars, and named requests are well-formed in template
+/// order: a Wait/Waitall names a group opened earlier, a Wait's index is
+/// one the group was opened with, and every named group is retired after
+/// it is last opened.  Empty string = OK.
 [[nodiscard]] std::string validateSym(const SymSkeleton& s);
 
 }  // namespace ovp::skel::sym

@@ -1,5 +1,6 @@
 // Tests for the static skeleton analyzer (src/skeleton) and the NAS
-// skeleton builders (src/nas/skeletons.cpp):
+// skeletons instantiated from the kernels' symbolic templates
+// (src/nas/symbolic.cpp):
 //
 //   * seeded-defect fixtures — an unmatched send, a tag mismatch, a
 //     rendezvous send/send deadlock, and a zero-compute overlap window —
@@ -20,7 +21,7 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
-#include "nas/skeletons.hpp"
+#include "nas/symbolic.hpp"
 #include "skeleton/builder.hpp"
 #include "skeleton/check.hpp"
 #include "skeleton/serialize.hpp"
@@ -245,7 +246,7 @@ TEST(CheckNas, IndivisibleDecompositionIsAnError) {
 }
 
 TEST(CheckNas, EveryKernelValidatesAndChecksClean) {
-  for (const std::string& kernel : nas::nasSkeletonKernels()) {
+  for (const std::string& kernel : nas::nasKernels()) {
     const nas::SkeletonBuildResult built = nas::buildNasSkeleton(kernel, {});
     ASSERT_TRUE(built.ok()) << kernel << ": " << built.error;
     EXPECT_EQ(built.skeleton.validate(), "") << kernel;
@@ -292,7 +293,7 @@ void compareOrRegold(const std::string& name, const std::string& actual) {
 }
 
 TEST(CheckGolden, NasSkeletonsMatchGoldens) {
-  for (const std::string& kernel : nas::nasSkeletonKernels()) {
+  for (const std::string& kernel : nas::nasKernels()) {
     const nas::SkeletonBuildResult built = nas::buildNasSkeleton(kernel, {});
     ASSERT_TRUE(built.ok()) << kernel << ": " << built.error;
     compareOrRegold("skeleton_" + kernel + ".txt",

@@ -15,8 +15,9 @@
 // With --conform=TRACE.csv it additionally verifies that a dynamic trace
 // (written by a live run via --ovprof-trace=FILE, as FILE.csv) embeds into
 // the skeleton: every traced match/put/get edge must be admissible in the
-// skeleton's static relation.  This is the gate that keeps the skeleton
-// builders honest against the kernels they model.
+// skeleton's static relation.  This is the gate that keeps the kernels'
+// symbolic templates (src/nas/symbolic.cpp, instantiated at the requested
+// rank count) honest against the kernels they model.
 //
 // Two rank-count-parametric modes sit on top:
 //
@@ -26,10 +27,8 @@
 //     non-power-of-two P, say) surface in one run;
 //   * --symbolic switches to the rank-symbolic prover (src/skeleton/
 //     symbolic): matching and deadlock-freedom are proven for ALL
-//     admissible rank counts at once, closed-form per-site cost terms can
-//     be exported for ovprof_model (--emit-costs), and the symbolic
-//     template is re-validated against the unrolled builder byte-for-byte
-//     at randomized counts (--instantiate-check).
+//     admissible rank counts at once, and closed-form per-site cost terms
+//     can be exported for ovprof_model (--emit-costs).
 //
 // Usage:
 //   ovprof_check SKELETON [SKELETON2 ...]
@@ -39,7 +38,6 @@
 //                [--xfer-table=FILE] [--conform=TRACE.csv]
 //                [--write-skeleton=FILE] [--ovprof-check-json=FILE]
 //                [--symbolic] [--emit-costs=FILE]
-//                [--instantiate-check=N] [--seed=S]
 //
 // SKELETON is `nas:KERNEL` with KERNEL in {bt,cg,ep,ft,is,lu,mg,sp}, or the
 // path of a skeleton file previously written with --write-skeleton.
@@ -48,9 +46,9 @@
 // sweep the check and diff the findings.
 //
 // Exit code: 0 when every skeleton is clean (Notes allowed), 1 when any has
-// findings at Warning or above (including a failed symbolic proof or an
-// instantiation mismatch), 2 on tool errors (unknown kernel, unreadable
-// file, bad flags, bad --procs spec).  Output is deterministic: the same
+// findings at Warning or above (including a failed symbolic proof), 2 on
+// tool errors (unknown kernel, rank count outside the kernel's family,
+// unreadable file, bad flags, bad --procs spec).  Output is deterministic: the same
 // inputs always produce the same findings in the same order.
 #include <algorithm>
 #include <cstdio>
@@ -61,18 +59,15 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "nas/skeletons.hpp"
 #include "nas/symbolic.hpp"
 #include "overlap/xfer_table.hpp"
 #include "skeleton/check.hpp"
 #include "skeleton/serialize.hpp"
 #include "skeleton/symbolic/cost.hpp"
-#include "skeleton/symbolic/instantiate.hpp"
 #include "skeleton/symbolic/verify.hpp"
 #include "tool_main.hpp"
 #include "trace/reader.hpp"
 #include "util/flags.hpp"
-#include "util/rng.hpp"
 
 using namespace ovp;
 
@@ -88,11 +83,11 @@ void printUsage() {
       "                    [--conform=TRACE.csv] [--write-skeleton=FILE]\n"
       "                    [--ovprof-check-json=FILE]\n"
       "                    [--symbolic] [--emit-costs=FILE]\n"
-      "                    [--instantiate-check=N] [--seed=S]\n"
       "\n"
-      "SKELETON is nas:KERNEL (kernel in {bt,cg,ep,ft,is,lu,mg,sp}; built\n"
-      "in-process from --class/--procs/--iterations/--variant) or the path\n"
-      "of a skeleton file written earlier with --write-skeleton.\n"
+      "SKELETON is nas:KERNEL (kernel in {bt,cg,ep,ft,is,lu,mg,sp};\n"
+      "instantiated in-process from the kernel's symbolic template at\n"
+      "--class/--procs/--iterations/--variant) or the path of a skeleton\n"
+      "file written earlier with --write-skeleton.\n"
       "\n"
       "Statically analyzes the communication skeleton without running the\n"
       "simulator: send/recv matching per (src, dst, tag) channel, blocking-\n"
@@ -107,16 +102,15 @@ void printUsage() {
       "findings diff across counts (nas: skeletons only).\n"
       "\n"
       "--symbolic proves matching and deadlock-freedom for ALL admissible\n"
-      "rank counts at once from the rank-symbolic template (kernels\n"
-      "cg/ep/ft/is/mg).  --emit-costs=FILE exports closed-form per-site\n"
-      "cost terms (ovprof-symskel-v1, read by `ovprof_model costs`);\n"
-      "--instantiate-check=N re-validates the template against the\n"
-      "unrolled builder byte-for-byte at N randomized counts (--seed=S,\n"
-      "or the explicit counts of a multi-count --procs spec).\n"
+      "rank counts at once from the rank-symbolic template (every kernel;\n"
+      "structure outside the proof lemmas is reported unproven and swept\n"
+      "for concrete deadlock witnesses).  --emit-costs=FILE exports\n"
+      "closed-form per-site cost terms (ovprof-symskel-v1, read by\n"
+      "`ovprof_model costs`).\n"
       "\n"
       "Exit code: 0 clean, 1 findings at warning or above (failed proofs\n"
-      "and instantiation mismatches included), 2 tool error (unknown\n"
-      "kernel, unreadable file, bad flags or --procs spec).\n"
+      "included), 2 tool error (unknown kernel, rank count outside the\n"
+      "kernel's family, unreadable file, bad flags or --procs spec).\n"
       "framework flags (any ovprof binary):\n%s",
       util::ovprofHelpText());
 }
@@ -169,37 +163,9 @@ bool resolveSkeleton(const std::string& input, const util::Flags& flags,
   return true;
 }
 
-/// Admissible rank counts for the instantiate gate: the explicit sweep
-/// list when given, else `want` seeded samples mixing powers of two with
-/// arbitrary counts (same draw as tests/symbolic_test.cpp).
-std::vector<int> instantiateCounts(const skel::sym::SymSkeleton& s,
-                                   const std::vector<int>& sweep, int want,
-                                   std::uint64_t seed) {
-  std::vector<int> out;
-  if (!sweep.empty()) {
-    for (const int p : sweep) {
-      if (skel::sym::familyAdmits(s, p, nullptr)) out.push_back(p);
-    }
-    return out;
-  }
-  util::Rng rng(seed);
-  int guard = 0;
-  while (static_cast<int>(out.size()) < want && guard < 10000) {
-    ++guard;
-    const int p = rng.below(2) == 0
-                      ? (1 << rng.range(0, 7))
-                      : static_cast<int>(rng.range(1, 65));
-    if (!skel::sym::familyAdmits(s, p, nullptr)) continue;
-    if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 /// The --symbolic path for one nas: input.  Returns the process exit code
 /// contribution (0/1), or 2 on tool errors.
-int runSymbolic(const std::string& input, const util::Flags& flags,
-                const std::vector<int>& sweep) {
+int runSymbolic(const std::string& input, const util::Flags& flags) {
   if (input.rfind("nas:", 0) != 0) {
     std::fprintf(stderr,
                  "ovprof_check: --symbolic needs nas:KERNEL inputs "
@@ -216,50 +182,12 @@ int runSymbolic(const std::string& input, const util::Flags& flags,
     return 2;
   }
 
-  skel::sym::SymVerifyResult verified = skel::sym::verifySymbolic(sym.skeleton);
-
-  // Instantiation gate: byte-identity against the unrolled builder.
-  const int inst_n =
-      static_cast<int>(flags.getInt("instantiate-check", 0));
-  std::vector<int> inst_procs;
-  if (inst_n > 0) {
-    const auto seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 9001));
-    inst_procs = instantiateCounts(sym.skeleton, sweep, inst_n, seed);
-    for (const int p : inst_procs) {
-      nas::SkeletonParams up = paramsFromFlags(flags);
-      up.nranks = p;
-      const nas::SkeletonBuildResult unrolled =
-          nas::buildNasSkeleton(kernel, up);
-      const skel::sym::InstantiateResult inst =
-          skel::sym::instantiate(sym.skeleton, p);
-      analysis::Diagnostic d;
-      d.code = analysis::DiagCode::SymInstantiateMismatch;
-      d.severity = analysis::Severity::Error;
-      d.site = sym.skeleton.name;
-      if (!unrolled.ok() || !inst.ok()) {
-        d.detail = "P=" + std::to_string(p) + ": " +
-                   (unrolled.ok() ? inst.error : unrolled.error);
-        verified.diagnostics.push_back(std::move(d));
-      } else if (skel::skeletonToString(inst.skeleton) !=
-                 skel::skeletonToString(unrolled.skeleton)) {
-        d.detail = "instantiate(symbolic, " + std::to_string(p) +
-                   ") differs from the unrolled builder";
-        verified.diagnostics.push_back(std::move(d));
-      }
-    }
-  }
-
+  const skel::sym::SymVerifyResult verified =
+      skel::sym::verifySymbolic(sym.skeleton);
   std::printf("symbolic skeleton %s (%lld nodes)\n",
               sym.skeleton.name.c_str(),
               static_cast<long long>(sym.skeleton.totalNodes()));
   skel::sym::printSymVerifyText(verified, std::cout);
-  if (inst_n > 0) {
-    std::printf("instantiate gate: %zu count(s) checked:",
-                inst_procs.size());
-    for (const int p : inst_procs) std::printf(" %d", p);
-    std::printf("\n");
-  }
 
   const std::string costs_path = flags.getString("emit-costs", "");
   if (!costs_path.empty()) {
@@ -422,7 +350,7 @@ int main(int argc, char** argv) {
     int exit_code = 0;
     for (const std::string& input : inputs) {
       if (inputs.size() > 1) std::printf("== %s ==\n", input.c_str());
-      const int rc = runSymbolic(input, flags, sweep);
+      const int rc = runSymbolic(input, flags);
       if (rc == 2) return 2;
       exit_code = std::max(exit_code, rc);
     }
