@@ -4,21 +4,20 @@
 // "Trace-based approaches have to deal with problems like ... the overhead
 // of storing voluminous trace files.  Unlike tracing, we numerically
 // quantify the extent of non-overlapped communication."  This driver runs
-// the same CG job with (a) the overlap framework alone and (b) an attached
-// event tracer, and compares the tracer's unbounded storage with the
-// framework's fixed event queue.
+// the same ping loop with the overlap framework and a trace collector whose
+// cap holds the whole run, and compares one process's trace storage (rank
+// 0's ring) with that process's fixed framework event queue.
 //
 // The second table runs identical jobs with the bounded trace ring off and
 // on.  Because every trace record is charged host time (observer cost per
-// monitor event, hook cost per matching record), the traced job's virtual
+// monitor event, emit cost per library record), the traced job's virtual
 // run time is strictly larger; the table reports that dilation the same way
 // the paper's Fig. 20 reports the monitor's own overhead.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "mpi/machine.hpp"
-#include "mpi/trace.hpp"
-#include "nas/cg.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -59,26 +58,29 @@ int main(int argc, char** argv) {
     mpi::JobConfig cfg;
     cfg.nranks = 2;
     cfg.mpi.monitor.queue_capacity = 1024;
+    cfg.trace.enabled = true;
+    cfg.trace.ring_capacity = std::numeric_limits<std::size_t>::max();
     mpi::Machine machine(cfg);
-    mpi::TraceRecorder tracer;
     std::vector<std::uint8_t> buf(32 * 1024);
-    std::int64_t drains = 0;
-    machine.run([&](mpi::Mpi& mpi) {
-      if (mpi.rank() == 0) mpi.setHooks(tracer.hooks());
-      pingLoop(mpi, buf, iters);
-    });
-    drains = machine.reports()[0].queue_drains;
+    machine.run([&](mpi::Mpi& mpi) { pingLoop(mpi, buf, iters); });
+    const trace::TraceRing& ring = machine.traceCollector()->ring(0);
+    if (ring.dropped() != 0) {
+      std::fprintf(stderr, "extra_trace_cost: unbounded ring dropped %lld "
+                           "records\n",
+                   static_cast<long long>(ring.dropped()));
+      return 1;
+    }
     const double queue_kb =
         static_cast<double>(cfg.mpi.monitor.queue_capacity *
                             sizeof(overlap::Event)) /
         1024.0;
-    table.addRow({util::TextTable::integer(iters),
-                  util::TextTable::integer(
-                      static_cast<long long>(tracer.eventCount())),
-                  util::TextTable::num(
-                      static_cast<double>(tracer.memoryBytes()) / 1024.0, 1),
-                  util::TextTable::num(queue_kb, 1),
-                  util::TextTable::integer(drains)});
+    table.addRow(
+        {util::TextTable::integer(iters),
+         util::TextTable::integer(static_cast<long long>(ring.size())),
+         util::TextTable::num(
+             static_cast<double>(ring.reservedBytes()) / 1024.0, 1),
+         util::TextTable::num(queue_kb, 1),
+         util::TextTable::integer(machine.reports()[0].queue_drains)});
   }
   if (flags.getBool("csv", false)) {
     table.printCsv(std::cout);

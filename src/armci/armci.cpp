@@ -9,7 +9,7 @@
 #include <mutex>
 
 #include "analysis/stream_verifier.hpp"
-#include "mpi/config.hpp"  // analyticTable
+#include "mpi/machine.hpp"  // analyticTable, observeMonitor
 #include "trace/net_tap.hpp"
 
 namespace ovp::armci {
@@ -82,27 +82,21 @@ void Armci::traceRma(trace::RecordKind kind, std::int64_t op_id, Rank target,
       trace_sink_->resolveSegment(target, remote, n);
   trace::Record rec;
   rec.kind = kind;
-  rec.rank = ctx_.rank();
   rec.peer = target;
-  rec.time = ctx_.now();
   rec.id = op_id;
   rec.bytes = n;
   rec.tag = ref.segment;
   rec.addr = ref.offset;
-  trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace_sink_->config().record_cost);
+  trace_sink_->emit(ctx_, rec);
 }
 
 void Armci::traceSync(trace::RecordKind kind, std::int64_t id, Rank peer) {
   if (trace_sink_ == nullptr) return;
   trace::Record rec;
   rec.kind = kind;
-  rec.rank = ctx_.rank();
   rec.peer = peer;
-  rec.time = ctx_.now();
   rec.id = id;
-  trace_sink_->push(ctx_.rank(), rec);
-  ctx_.advance(trace_sink_->config().record_cost);
+  trace_sink_->emit(ctx_, rec);
 }
 
 void Armci::progress() {
@@ -534,24 +528,8 @@ void ArmciMachine::run(const std::function<void(Armci&)>& rankMain) {
       checker->setClock([cx = &ctx]() { return cx->now(); });
       armci.setUsageChecker(checker.get());
     }
-    if (overlap::Monitor* mon = armci.monitor();
-        mon != nullptr && (verifier || trace_)) {
-      analysis::StreamVerifier* v = verifier.get();
-      trace::Collector* tc = trace_.get();
-      const Rank r = ctx.rank();
-      mon->setEventObserver(
-          [mon, v, tc, r](const overlap::Event& e) {
-            if (v != nullptr) v->consume(e);
-            if (tc != nullptr) {
-              if (e.type == overlap::EventType::SectionBegin) {
-                tc->noteSectionName(
-                    r, e.id,
-                    mon->sectionName(static_cast<overlap::SectionId>(e.id)));
-              }
-              tc->onMonitorEvent(r, e);
-            }
-          },
-          trace_ ? cfg_.trace.record_cost : 0);
+    if (overlap::Monitor* mon = armci.monitor()) {
+      mpi::observeMonitor(*mon, verifier.get(), trace_.get(), ctx.rank());
     }
     rankMain(armci);
     if (armci.instrumented()) {

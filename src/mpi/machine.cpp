@@ -52,6 +52,24 @@ overlap::VciStats vciStatsFor(const net::Nic& nic,
 
 }  // namespace
 
+void observeMonitor(overlap::Monitor& mon, analysis::StreamVerifier* verifier,
+                    trace::Collector* tc, Rank r) {
+  if (verifier == nullptr && tc == nullptr) return;
+  mon.setEventObserver(
+      [&mon, verifier, tc, r](const overlap::Event& e) {
+        if (verifier != nullptr) verifier->consume(e);
+        if (tc != nullptr) {
+          if (e.type == overlap::EventType::SectionBegin) {
+            tc->noteSectionName(
+                r, e.id,
+                mon.sectionName(static_cast<overlap::SectionId>(e.id)));
+          }
+          tc->onMonitorEvent(r, e);
+        }
+      },
+      tc != nullptr ? tc->config().record_cost : 0);
+}
+
 bool Machine::writeReports(const std::string& prefix) const {
   return overlap::ReportIo::saveAll(reports_, prefix);
 }
@@ -88,72 +106,9 @@ void Machine::run(const std::function<void(Mpi&)>& rankMain) {
       checker->setClock([cx = &ctx]() { return cx->now(); });
       mpi.setUsageChecker(checker.get());
     }
-    if (overlap::Monitor* mon = mpi.monitor();
-        mon != nullptr && (verifier || trace_)) {
-      // One composed observer: the verifier and the trace collector both
-      // see the exact drain-time stream.  Only the collector does per-event
-      // work that costs virtual time.
-      analysis::StreamVerifier* v = verifier.get();
-      trace::Collector* tc = trace_.get();
-      const Rank r = ctx.rank();
-      mon->setEventObserver(
-          [mon, v, tc, r](const overlap::Event& e) {
-            if (v != nullptr) v->consume(e);
-            if (tc != nullptr) {
-              if (e.type == overlap::EventType::SectionBegin) {
-                tc->noteSectionName(
-                    r, e.id,
-                    mon->sectionName(static_cast<overlap::SectionId>(e.id)));
-              }
-              tc->onMonitorEvent(r, e);
-            }
-          },
-          trace_ ? cfg_.trace.record_cost : 0);
-    }
-    if (trace_) {
-      // Cross-rank matching hooks; each record costs host time, charged to
-      // the rank exactly where a real tool's callback would run.
-      trace::Collector* tc = trace_.get();
-      const Rank r = ctx.rank();
-      const DurationNs cost = cfg_.trace.record_cost;
-      sim::Context* cx = &ctx;
-      EventHooks th;
-      th.on_send_post = [tc, r, cx, cost](TimeNs t, Rank dst, int tag,
-                                          Bytes b) {
-        trace::Record rec;
-        rec.kind = trace::RecordKind::SendPost;
-        rec.rank = r;
-        rec.peer = dst;
-        rec.tag = tag;
-        rec.time = t;
-        rec.bytes = b;
-        tc->push(r, rec);
-        cx->advance(cost);
-      };
-      th.on_recv_post = [tc, r, cx, cost](TimeNs t, Rank src, int tag,
-                                          Bytes b) {
-        trace::Record rec;
-        rec.kind = trace::RecordKind::RecvPost;
-        rec.rank = r;
-        rec.peer = src;
-        rec.tag = tag;
-        rec.time = t;
-        rec.bytes = b;
-        tc->push(r, rec);
-        cx->advance(cost);
-      };
-      th.on_match = [tc, r, cx, cost](TimeNs t, Rank src, int tag, Bytes b) {
-        trace::Record rec;
-        rec.kind = trace::RecordKind::Match;
-        rec.rank = r;
-        rec.peer = src;
-        rec.tag = tag;
-        rec.time = t;
-        rec.bytes = b;
-        tc->push(r, rec);
-        cx->advance(cost);
-      };
-      mpi.setTraceHooks(std::move(th));
+    if (trace_) mpi.setTraceSink(trace_.get());
+    if (overlap::Monitor* mon = mpi.monitor()) {
+      observeMonitor(*mon, verifier.get(), trace_.get(), ctx.rank());
     }
     rankMain(mpi);
     if (mpi.instrumented()) {

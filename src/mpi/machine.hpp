@@ -16,7 +16,20 @@
 #include "sim/engine.hpp"
 #include "trace/collector.hpp"
 
+namespace ovp::analysis {
+class StreamVerifier;
+}  // namespace ovp::analysis
+
 namespace ovp::mpi {
+
+/// Installs the one composed Monitor event observer a verified or traced
+/// rank needs: the verifier and the collector both see the exact
+/// drain-time stream, and the collector names each section as it opens.
+/// Either may be null (both null installs nothing).  Only the collector
+/// does per-event work that costs virtual time.  Machine and
+/// armci::ArmciMachine both attach their ranks through this.
+void observeMonitor(overlap::Monitor& mon, analysis::StreamVerifier* verifier,
+                    trace::Collector* tc, Rank r);
 
 struct JobConfig {
   int nranks = 2;

@@ -34,6 +34,7 @@
 #include "net/nic.hpp"
 #include "overlap/monitor.hpp"
 #include "sim/engine.hpp"
+#include "trace/collector.hpp"
 #include "util/types.hpp"
 
 namespace ovp::mpi {
@@ -108,10 +109,11 @@ class Mpi {
   /// Registers PERUSE-style external callbacks (see mpi/hooks.hpp).
   void setHooks(EventHooks hooks) { hooks_ = std::move(hooks); }
 
-  /// Second, framework-internal hook slot used by the trace collector so it
-  /// never competes with application-installed hooks.  Both sets fire at
-  /// every instrumentation point (application hooks first).
-  void setTraceHooks(EventHooks hooks) { trace_hooks_ = std::move(hooks); }
+  /// Attaches the job's trace collector (not owned; may be null).  With a
+  /// sink installed the library emits SEND_POST, RECV_POST and MATCH
+  /// records — the cross-rank message stream the offline analysis pairs —
+  /// right after the application hooks for the same point fire.
+  void setTraceSink(trace::Collector* sink) { trace_sink_ = sink; }
 
   /// Attaches a library-misuse checker (not owned; may be null).  The
   /// library notifies it of request lifecycle and section marker calls.
@@ -152,22 +154,16 @@ class Mpi {
   // is fine — the Monitor and the hooks act only at the outermost level.
   struct CallGuard {
     explicit CallGuard(Mpi& m) : m_(m) {
-      if (m_.hook_call_depth_++ == 0) {
-        if (m_.hooks_.on_call_enter) m_.hooks_.on_call_enter(m_.ctx_.now());
-        if (m_.trace_hooks_.on_call_enter) {
-          m_.trace_hooks_.on_call_enter(m_.ctx_.now());
-        }
+      if (m_.hook_call_depth_++ == 0 && m_.hooks_.on_call_enter) {
+        m_.hooks_.on_call_enter(m_.ctx_.now());
       }
       if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callEnter(m_.ctx_.now()));
       m_.ctx_.advance(m_.cfg_.call_overhead);
     }
     ~CallGuard() {
       if (m_.monitor_) m_.ctx_.advance(m_.monitor_->callExit(m_.ctx_.now()));
-      if (--m_.hook_call_depth_ == 0) {
-        if (m_.hooks_.on_call_exit) m_.hooks_.on_call_exit(m_.ctx_.now());
-        if (m_.trace_hooks_.on_call_exit) {
-          m_.trace_hooks_.on_call_exit(m_.ctx_.now());
-        }
+      if (--m_.hook_call_depth_ == 0 && m_.hooks_.on_call_exit) {
+        m_.hooks_.on_call_exit(m_.ctx_.now());
       }
     }
     CallGuard(const CallGuard&) = delete;
@@ -205,10 +201,12 @@ class Mpi {
   void stampXferEnd(TransferId id);
   void stampXferEndUnmatched(Bytes size);
 
-  // hook fan-out: fires the application hook set then the trace set
+  // message events: fire the application hook, then emit the trace record
   void notifyMatch(Rank source, int tag, Bytes bytes);
   void notifySendPost(Rank dst, int tag, Bytes bytes);
   void notifyRecvPost(Rank source, int tag, Bytes bytes);
+  /// Emits one message record to the trace sink (no-op without one).
+  void traceMessage(trace::RecordKind kind, Rank peer, int tag, Bytes bytes);
 
   /// Global engine rank acting as job-local rank `local` (identity without
   /// a group).  Applied exactly where protocol code targets the fabric.
@@ -224,7 +222,7 @@ class Mpi {
   int lsize_ = 0;   // job size (group size, or world size)
   std::unique_ptr<overlap::Monitor> monitor_;
   EventHooks hooks_;
-  EventHooks trace_hooks_;
+  trace::Collector* trace_sink_ = nullptr;
   analysis::UsageChecker* checker_ = nullptr;
   int hook_call_depth_ = 0;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/engine.hpp"
+
 namespace ovp::trace {
 
 namespace {
@@ -80,6 +82,13 @@ Bytes Collector::segmentBytes(Rank owner, std::int32_t seg) const {
   const auto& segs = segments_[static_cast<std::size_t>(owner)];
   if (seg < 0 || static_cast<std::size_t>(seg) >= segs.size()) return 0;
   return segs[static_cast<std::size_t>(seg)].bytes;
+}
+
+void Collector::emit(sim::Context& ctx, Record rec) {
+  rec.rank = ctx.rank();
+  rec.time = ctx.now();
+  push(ctx.rank(), rec);
+  ctx.advance(cfg_.record_cost);
 }
 
 void Collector::onMonitorEvent(Rank r, const overlap::Event& e) {

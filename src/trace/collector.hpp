@@ -2,18 +2,20 @@
 // context the analysis passes need (section names, the a-priori transfer
 // table, per-rank end times).
 //
-// The collector itself is passive: the machine layer installs thin adapters
-// (a Monitor event observer, library trace hooks, a net::WireObserver tap)
-// that translate their native event types into Records and push them here.
+// The collector itself is passive.  The machine layer installs two thin
+// adapters (a Monitor event observer and a net::WireObserver tap) that
+// translate their native event types into Records; the MPI and ARMCI
+// libraries, given the collector as their trace sink, emit their own
+// library-origin records (message posts and matches, RMA accesses, syncs).
 // Rank threads never run concurrently in the simulator, so no locking is
 // needed; NIC-origin records are pushed from engine handlers, which are
 // serialized with rank code by construction.
 //
 // Cost model: monitor-origin records are charged through the Monitor's
-// observer cost (per event, folded into queue-drain cost); hook-origin
-// records are charged by the adapter via ctx.advance(config().record_cost).
-// NIC-origin records are free, matching the NIC model (autonomous hardware
-// consumes no host time).
+// observer cost (per event, folded into queue-drain cost); library-origin
+// records are pushed by Mpi/Armci through emit(), which charges
+// config().record_cost to the emitting rank.  NIC-origin records are free,
+// matching the NIC model (autonomous hardware consumes no host time).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,10 @@
 #include "trace/record.hpp"
 #include "trace/ring.hpp"
 #include "util/types.hpp"
+
+namespace ovp::sim {
+class Context;
+}  // namespace ovp::sim
 
 namespace ovp::trace {
 
@@ -60,6 +66,11 @@ class Collector {
   void push(Rank r, const Record& rec) {
     rings_[static_cast<std::size_t>(r)].push(rec);
   }
+
+  /// Appends a library-origin record to the calling rank's ring, stamped
+  /// with that rank and the current virtual time, and charges the rank
+  /// config().record_cost right there, where a real tool's callback runs.
+  void emit(sim::Context& ctx, Record rec);
 
   /// Reader-side restore of a rank's drop counter (see TraceRing).
   void restoreDropped(Rank r, std::int64_t n) {

@@ -1,13 +1,15 @@
 // Tests for the PERUSE-style external event hooks: an outside tool must
 // see the same event stream the overlap framework consumes, without
-// perturbing virtual time or the framework's own accounting.
+// perturbing virtual time, the framework's own accounting, or the trace
+// collector attached to the same library.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "mpi/machine.hpp"
-#include "mpi/trace.hpp"
+#include "trace/export.hpp"
 
 namespace ovp::mpi {
 namespace {
@@ -168,49 +170,97 @@ TEST(Hooks, WorkUninstrumented) {
   EXPECT_EQ(trace.xfers_begun, 1);
 }
 
-TEST(TraceRecorder, RecordsAllKindsAndWritesCsv) {
-  JobConfig cfg;
-  cfg.nranks = 2;
-  Machine m(cfg);
-  TraceRecorder tracer;
-  int v = 3;
-  m.run([&](Mpi& mpi) {
-    if (mpi.rank() == 1) mpi.setHooks(tracer.hooks());
-    if (mpi.rank() == 0) {
-      mpi.send(&v, sizeof v, 1, 7);
-    } else {
-      int got = 0;
-      mpi.recv(&got, sizeof got, 0, 7);
-    }
-  });
-  EXPECT_GT(tracer.eventCount(), 2u);
-  bool saw_match = false;
-  for (const auto& e : tracer.entries()) {
-    if (e.kind == TraceRecorder::Kind::Match) {
-      saw_match = true;
-      EXPECT_EQ(e.tag, 7);
-    }
-  }
-  EXPECT_TRUE(saw_match);
-  std::ostringstream os;
-  tracer.writeCsv(os);
-  EXPECT_NE(os.str().find("MATCH"), std::string::npos);
-  EXPECT_NE(os.str().find("CALL_ENTER"), std::string::npos);
-  EXPECT_GT(tracer.memoryBytes(), 0u);
-  tracer.clear();
-  EXPECT_EQ(tracer.eventCount(), 0u);
+// The application hooks' message events, one list per kind: (time, peer,
+// tag, bytes) in firing order.
+struct MessageLog {
+  using Entry = std::tuple<TimeNs, Rank, int, Bytes>;
+  std::vector<Entry> send_posts, recv_posts, matches;
+};
+
+void attachMessageLog(Mpi& mpi, MessageLog& log) {
+  EventHooks hooks;
+  hooks.on_send_post = [&log](TimeNs t, Rank dst, int tag, Bytes n) {
+    log.send_posts.emplace_back(t, dst, tag, n);
+  };
+  hooks.on_recv_post = [&log](TimeNs t, Rank src, int tag, Bytes n) {
+    log.recv_posts.emplace_back(t, src, tag, n);
+  };
+  hooks.on_match = [&log](TimeNs t, Rank src, int tag, Bytes n) {
+    log.matches.emplace_back(t, src, tag, n);
+  };
+  mpi.setHooks(std::move(hooks));
 }
 
-TEST(TraceRecorder, CallTimeMatchesFrameworkAccounting) {
-  // The trace, post-processed, must agree with the framework's on-the-fly
-  // communication_call_time — two independent paths over the same events.
+// The same rank's trace records of one kind, in the MessageLog's shape.
+std::vector<MessageLog::Entry> traced(const trace::Collector& c, Rank r,
+                                      trace::RecordKind kind) {
+  std::vector<MessageLog::Entry> out;
+  const trace::TraceRing& ring = c.ring(r);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const trace::Record& rec = ring.at(i);
+    if (rec.kind == kind) out.emplace_back(rec.time, rec.peer, rec.tag, rec.bytes);
+  }
+  return out;
+}
+
+TEST(Hooks, CoexistWithTraceAndLeaveItUnchanged) {
+  // Application hooks and the trace collector both observe the message
+  // events: the hooks fire first, at the same virtual instant the record
+  // is stamped, and attaching them leaves the trace byte-identical.
+  auto runJob = [](MessageLog* logs) {
+    JobConfig cfg;
+    cfg.nranks = 3;
+    cfg.trace.enabled = true;
+    Machine m(cfg);
+    std::vector<std::uint8_t> big(300000);
+    m.run([&](Mpi& mpi) {
+      if (logs != nullptr) attachMessageLog(mpi, logs[mpi.rank()]);
+      int v = mpi.rank();
+      if (mpi.rank() == 0) {
+        mpi.send(big.data(), 300000, 1, 1);  // rendezvous
+        Request r = mpi.isend(&v, sizeof v, 2, 2);
+        mpi.compute(usec(20));
+        mpi.wait(r);
+      } else if (mpi.rank() == 1) {
+        Request r = mpi.irecv(big.data(), 300000, 0, 1);
+        mpi.compute(usec(50));
+        mpi.wait(r);
+        mpi.send(&v, sizeof v, 2, 3);
+      } else {
+        int got = 0;
+        mpi.recv(&got, sizeof got, kAnySource, kAnyTag);
+        mpi.recv(&got, sizeof got, kAnySource, kAnyTag);
+      }
+      mpi.barrier();
+    });
+    std::ostringstream csv;
+    trace::writeCsv(*m.traceCollector(), csv);
+    return std::pair{csv.str(), m.traceCollector()};
+  };
+  MessageLog logs[3];
+  const auto [hooked_csv, tc] = runJob(logs);
+  EXPECT_EQ(hooked_csv, runJob(nullptr).first);
+  std::size_t matches = 0;
+  for (Rank r = 0; r < 3; ++r) {
+    const MessageLog& log = logs[r];
+    EXPECT_EQ(log.send_posts, traced(*tc, r, trace::RecordKind::SendPost));
+    EXPECT_EQ(log.recv_posts, traced(*tc, r, trace::RecordKind::RecvPost));
+    EXPECT_EQ(log.matches, traced(*tc, r, trace::RecordKind::Match));
+    EXPECT_FALSE(log.send_posts.empty()) << "rank " << r;
+    matches += log.matches.size();
+  }
+  EXPECT_GE(matches, 3u) << "the three user messages plus the barrier's";
+}
+
+TEST(TraceCollector, CallTimeMatchesFrameworkAccounting) {
+  // The trace's CALL_ENTER/CALL_EXIT records, post-processed, must agree
+  // with the framework's on-the-fly communication_call_time.
   JobConfig cfg;
   cfg.nranks = 2;
+  cfg.trace.enabled = true;
   Machine m(cfg);
-  TraceRecorder tracer;
   std::vector<std::uint8_t> buf(50000);
   m.run([&](Mpi& mpi) {
-    if (mpi.rank() == 0) mpi.setHooks(tracer.hooks());
     for (int i = 0; i < 5; ++i) {
       if (mpi.rank() == 0) {
         mpi.send(buf.data(), 50000, 1, 0);
@@ -220,14 +270,20 @@ TEST(TraceRecorder, CallTimeMatchesFrameworkAccounting) {
       mpi.compute(usec(50));
     }
   });
-  const DurationNs from_trace = tracer.callTimeFromTrace();
-  const DurationNs from_framework =
-      m.reports()[0].whole.communication_call_time;
-  // The trace hook fires just outside the monitor's stamps (the stamp
-  // itself costs a few ns of virtual time), so allow a tiny slack.
-  EXPECT_NEAR(static_cast<double>(from_trace),
-              static_cast<double>(from_framework),
-              static_cast<double>(from_framework) * 0.01);
+  DurationNs from_trace = 0;
+  TimeNs enter = -1;
+  const trace::TraceRing& ring = m.traceCollector()->ring(0);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const trace::Record& rec = ring.at(i);
+    if (rec.kind == trace::RecordKind::CallEnter) {
+      enter = rec.time;
+    } else if (rec.kind == trace::RecordKind::CallExit && enter >= 0) {
+      from_trace += rec.time - enter;
+      enter = -1;
+    }
+  }
+  EXPECT_GT(from_trace, 0);
+  EXPECT_EQ(from_trace, m.reports()[0].whole.communication_call_time);
 }
 
 }  // namespace
