@@ -1,11 +1,12 @@
 #include "analysis/hb_graph.hpp"
 
 #include <cstddef>
-#include <deque>
+#include <limits>
 #include <map>
 #include <set>
-#include <tuple>
 #include <utility>
+
+#include "trace/critical_path.hpp"
 
 namespace ovp::analysis {
 
@@ -20,12 +21,25 @@ struct BarrierEpoch {
   bool forced = false;  // completed without all ranks (dropped records)
 };
 
+constexpr std::size_t kNoEdge = std::numeric_limits<std::size_t>::max();
+
 struct Builder {
   explicit Builder(const trace::Collector& c)
       : c_(c), nranks_(c.nranks()) {
     clocks_.reserve(static_cast<std::size_t>(nranks_));
-    for (Rank r = 0; r < nranks_; ++r) clocks_.emplace_back(nranks_);
+    edge_at_.resize(static_cast<std::size_t>(nranks_));
+    for (Rank r = 0; r < nranks_; ++r) {
+      clocks_.emplace_back(nranks_);
+      edge_at_[static_cast<std::size_t>(r)].assign(c.ring(r).size(), kNoEdge);
+    }
     pos_.assign(static_cast<std::size_t>(nranks_), 0);
+    const std::vector<trace::MessageEdge> edges = trace::matchMessages(c);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const trace::MessageEdge& e = edges[k];
+      edge_at_[static_cast<std::size_t>(e.src)][e.send_index] = k;
+      edge_at_[static_cast<std::size_t>(e.dst)][e.match_index] = k;
+    }
+    send_clock_.resize(edges.size());
   }
 
   HbGraph run() {
@@ -50,22 +64,28 @@ struct Builder {
     std::size_t& i = pos_[static_cast<std::size_t>(r)];
     bool progressed = false;
     while (i < ring.size()) {
-      const Record& rec = ring.at(i);
-      if (blockedOn(r, rec)) break;
-      consume(r, rec);
+      if (blockedOn(r, i)) break;
+      consume(r, i);
       ++i;
       progressed = true;
     }
     return progressed;
   }
 
-  [[nodiscard]] bool blockedOn(Rank r, const Record& rec) {
+  /// The matchMessages edge whose SEND_POST or MATCH is rank r's record i.
+  [[nodiscard]] std::size_t edgeAt(Rank r, std::size_t i) const {
+    return edge_at_[static_cast<std::size_t>(r)][i];
+  }
+
+  [[nodiscard]] bool blockedOn(Rank r, std::size_t i) {
+    const Record& rec = c_.ring(r).at(i);
     if (rec.kind == RecordKind::Match) {
       // Needs the paired sender snapshot; the sender may not have produced
-      // it yet.  Wildcard receives (peer unknown) never join.
+      // it yet, or (no edge) the trace lost it.  A peer that is not a rank
+      // of the trace never joins.
       if (rec.peer < 0 || rec.peer >= nranks_) return false;
-      auto& q = sends_[key(rec.peer, r, rec.tag)];
-      return q.empty();
+      const std::size_t k = edgeAt(r, i);
+      return k == kNoEdge || send_clock_[k].size() == 0;
     }
     if (rec.kind == RecordKind::Barrier) {
       BarrierEpoch& e = epochs_[rec.id];
@@ -85,7 +105,8 @@ struct Builder {
     return false;
   }
 
-  void consume(Rank r, const Record& rec) {
+  void consume(Rank r, std::size_t i) {
+    const Record& rec = c_.ring(r).at(i);
     VectorClock& my = clocks_[static_cast<std::size_t>(r)];
     // Barrier records tick at arrival time inside blockedOn (their tick must
     // be part of the epoch join); everything else ticks here.
@@ -95,15 +116,17 @@ struct Builder {
     if (!barrier_ticked) my.tick(r);
 
     switch (rec.kind) {
-      case RecordKind::SendPost:
-        sends_[key(r, rec.peer, rec.tag)].push_back(my);
+      case RecordKind::SendPost: {
+        const std::size_t k = edgeAt(r, i);
+        if (k != kNoEdge) send_clock_[k] = my;
         break;
+      }
       case RecordKind::Match: {
-        if (rec.peer < 0 || rec.peer >= nranks_) break;
-        auto& q = sends_[key(rec.peer, r, rec.tag)];
-        if (q.empty()) break;  // force-progressed: join unavailable
-        my.join(q.front());
-        q.pop_front();
+        const std::size_t k = edgeAt(r, i);
+        // Force-progressed matches find no snapshot: join unavailable.
+        if (k == kNoEdge || send_clock_[k].size() == 0) break;
+        my.join(send_clock_[k]);
+        send_clock_[k] = VectorClock();
         break;
       }
       case RecordKind::Barrier: {
@@ -166,16 +189,11 @@ struct Builder {
             "rank " + std::to_string(r) + " match from rank " +
             std::to_string(rec.peer) +
             " had no recorded send (records dropped?)");
-        consume(r, rec);
+        consume(r, i);
         ++i;
       }
       return;
     }
-  }
-
-  using ChannelKey = std::tuple<Rank, Rank, std::int32_t>;
-  [[nodiscard]] static ChannelKey key(Rank src, Rank dst, std::int32_t tag) {
-    return {src, dst, tag};
   }
 
   const trace::Collector& c_;
@@ -183,8 +201,12 @@ struct Builder {
   HbGraph out_;
   std::vector<VectorClock> clocks_;
   std::vector<std::size_t> pos_;
-  /// FIFO of sender clock snapshots per (src, dst, tag).
-  std::map<ChannelKey, std::deque<VectorClock>> sends_;
+  /// Per rank, ring position -> index of the edge whose SEND_POST or MATCH
+  /// sits there (kNoEdge for every other record).
+  std::vector<std::vector<std::size_t>> edge_at_;
+  /// Per edge, the sender's clock at its SEND_POST; empty until the walk
+  /// reaches that record, and again once the MATCH has joined it.
+  std::vector<VectorClock> send_clock_;
   std::map<std::int64_t, BarrierEpoch> epochs_;
   std::map<std::int64_t, std::set<Rank>> arrived_;
   std::map<std::int64_t, std::set<Rank>> ticked_barrier_;

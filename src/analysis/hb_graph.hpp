@@ -5,8 +5,9 @@
 // cross-rank synchronization sources join clocks:
 //
 //   * MATCH records (receiver side) join with the clock snapshot of the
-//     paired SEND_POST — pairing replays MPI's non-overtaking rule, k-th
-//     send from src to dst under a tag matches the k-th such match;
+//     paired SEND_POST — the pairs are trace::matchMessages' edges (MPI's
+//     non-overtaking rule: the k-th send from src to dst under a tag
+//     matches the k-th such match);
 //   * BARRIER records join every participating rank's clock at its own
 //     barrier record of the same epoch (records are stamped at barrier
 //     exit, so each rank's pre-join clock already covers the completions
