@@ -15,6 +15,13 @@ namespace {
 struct Row {
   Record rec;
   std::string name;  // SectionBegin rows carry the interned section name
+  std::size_t lineno = 0;
+};
+
+struct EndTime {
+  Rank rank = 0;
+  TimeNs time = 0;
+  std::size_t lineno = 0;
 };
 
 std::string lineError(std::size_t lineno, const std::string& what) {
@@ -31,7 +38,7 @@ ReadResult readCsv(std::istream& is) {
   ReadResult result;
 
   std::int64_t declared_ranks = -1;
-  std::vector<std::pair<Rank, TimeNs>> end_times;
+  std::vector<EndTime> end_times;
   std::vector<std::pair<Bytes, DurationNs>> xfer_points;
   std::vector<std::pair<Rank, std::int64_t>> dropped;
   std::vector<std::tuple<Rank, std::int64_t, Bytes>> segments;
@@ -56,7 +63,7 @@ ReadResult readCsv(std::istream& is) {
         declared_ranks = a;
       } else if (key == "end_time" && f.size() >= 3 && parseField(f[1], a) &&
                  parseField(f[2], b)) {
-        end_times.emplace_back(static_cast<Rank>(a), b);
+        end_times.push_back({static_cast<Rank>(a), b, lineno});
       } else if (key == "xfer_point" && f.size() >= 3 && parseField(f[1], a) &&
                  parseField(f[2], b)) {
         xfer_points.emplace_back(a, b);
@@ -112,6 +119,7 @@ ReadResult readCsv(std::istream& is) {
     row.rec.tag = static_cast<std::int32_t>(tag);
     row.rec.aux = static_cast<std::uint8_t>(aux);
     row.name = std::move(name);
+    row.lineno = lineno;
     rows.push_back(std::move(row));
   }
   if (!header_seen) {
@@ -119,12 +127,34 @@ ReadResult readCsv(std::istream& is) {
     return result;
   }
 
+  // Ranks index every per-rank table below: reject the first line (in file
+  // order) naming a negative rank, or one at or past a declared "# ranks".
+  std::size_t bad_line = 0;
+  Rank bad_rank = 0;
+  const auto checkRank = [&](Rank r, std::size_t at) {
+    const bool bad = r < 0 || (declared_ranks >= 0 && r >= declared_ranks);
+    if (bad && (bad_line == 0 || at < bad_line)) {
+      bad_line = at;
+      bad_rank = r;
+    }
+  };
+  for (const Row& row : rows) checkRank(row.rec.rank, row.lineno);
+  for (const EndTime& e : end_times) checkRank(e.rank, e.lineno);
+  if (bad_line != 0) {
+    std::string what = "rank " + std::to_string(bad_rank) + " out of range";
+    if (declared_ranks >= 0) {
+      what += " [0, " + std::to_string(declared_ranks) + ")";
+    }
+    result.error = lineError(bad_line, what);
+    return result;
+  }
+
   std::int64_t nranks = declared_ranks;
   for (const Row& row : rows) {
     nranks = std::max<std::int64_t>(nranks, row.rec.rank + 1);
   }
-  for (const auto& [r, t] : end_times) {
-    nranks = std::max<std::int64_t>(nranks, r + 1);
+  for (const EndTime& e : end_times) {
+    nranks = std::max<std::int64_t>(nranks, e.rank + 1);
   }
   if (nranks <= 0) {
     result.error = "trace names no ranks";
@@ -150,7 +180,7 @@ ReadResult readCsv(std::istream& is) {
       collector->noteSectionName(row.rec.rank, row.rec.id, row.name);
     }
   }
-  for (const auto& [r, t] : end_times) collector->setEndTime(r, t);
+  for (const EndTime& e : end_times) collector->setEndTime(e.rank, e.time);
   for (const auto& [r, n] : dropped) {
     if (r >= 0 && r < nranks) collector->restoreDropped(r, n);
   }

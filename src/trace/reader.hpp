@@ -11,7 +11,9 @@
 // The reader is strict about what it understands and lenient about what it
 // doesn't: unknown '#' metadata lines are skipped, while a malformed record
 // row fails the whole load with a line-numbered error (a trace that cannot
-// be trusted should not be silently analyzed).
+// be trusted should not be silently analyzed).  So does a record row or
+// "# end_time" line whose rank is negative or, when "# ranks" is given, not
+// below it.
 #pragma once
 
 #include <iosfwd>

@@ -20,6 +20,7 @@
 #include "nas/cg.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
+#include "trace/reader.hpp"
 #include "trace/ring.hpp"
 #include "trace/timeline.hpp"
 #include "util/flags.hpp"
@@ -363,6 +364,33 @@ TEST(TraceExport, CsvIsLossless) {
     retained += static_cast<std::int64_t>(tc.ring(r).size());
   }
   EXPECT_EQ(lines, retained);
+}
+
+TEST(TraceReader, RejectsRanksOutsideTheTrace) {
+  const std::string header =
+      "rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name\n";
+  auto load = [](const std::string& csv) {
+    std::istringstream is(csv);
+    return trace::readCsv(is);
+  };
+  // A negative row rank is rejected even without a "# ranks" line.
+  trace::ReadResult r = load(header + "0,0,1,CALL_ENTER,0,-1,0,0,0,-1,\n" +
+                             "-1,0,2,CALL_EXIT,0,-1,0,0,0,-1,\n");
+  EXPECT_EQ(r.collector, nullptr);
+  EXPECT_EQ(r.error, "line 3: rank -1 out of range");
+  // With "# ranks", the first offending line in file order is named, be it
+  // an end time or a record row.
+  r = load("# ranks,2\n" + header + "2,0,1,CALL_ENTER,0,-1,0,0,0,-1,\n" +
+           "# end_time,-3,5\n");
+  EXPECT_EQ(r.collector, nullptr);
+  EXPECT_EQ(r.error, "line 3: rank 2 out of range [0, 2)");
+  r = load("# ranks,2\n# end_time,2,5\n" + header);
+  EXPECT_EQ(r.error, "line 2: rank 2 out of range [0, 2)");
+  // In range, both load.
+  r = load("# ranks,2\n# end_time,1,5\n" + header +
+           "1,0,1,CALL_ENTER,0,-1,0,0,0,-1,\n");
+  ASSERT_NE(r.collector, nullptr) << r.error;
+  EXPECT_EQ(r.collector->endTime(1), 5);
 }
 
 TEST(TraceExport, RerunsAreBitIdentical) {
