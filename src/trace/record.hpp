@@ -38,7 +38,7 @@ enum class RecordKind : std::uint8_t {
   SectionEnd,
   Disable,
   Enable,
-  // Library-hook-origin (cross-rank message bookkeeping).
+  // MPI-library-origin (cross-rank message bookkeeping).
   SendPost,  // a send operation was started: peer=dst, tag, bytes
   RecvPost,  // a receive was posted: peer=src (may be any), tag, bytes
   Match,     // an incoming message matched a receive: peer=src, tag, bytes
