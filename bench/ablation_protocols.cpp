@@ -61,8 +61,10 @@ Measured runOnce(mpi::MpiConfig mpi_cfg, Bytes msg, DurationNs compute) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  util::Flags("usage: ablation_protocols\n"
+              "Eager-limit, fragment-size and rendezvous-design sweeps.\n",
+              {})
+      .parse(argc, argv);
   std::printf("=== ablation_protocols ===\n");
 
   {

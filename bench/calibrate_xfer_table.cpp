@@ -3,8 +3,6 @@
 // sweep of message sizes with a ping-pong microbenchmark on the simulated
 // fabric and writes the size->time table the instrumentation framework
 // reads at startup.
-//
-// Usage: calibrate_xfer_table [--out=path] [--iters=N] [--csv]
 #include <cstdio>
 #include <iostream>
 
@@ -49,10 +47,17 @@ DurationNs measureOneWay(Bytes size, int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  const int iters = static_cast<int>(flags.getInt("iters", 50));
-  const std::string out = flags.getString("out", "xfer_table.txt");
+  util::Flags flags(
+      "usage: calibrate_xfer_table [flags]\n"
+      "Measures one-way transfer times by ping-pong and writes the a-priori\n"
+      "size->time table the instrumentation framework reads.\n",
+      {util::stringFlag("out", "FILE", "table file to write",
+                        "xfer_table.txt"),
+       util::intFlag("iters", "50", "round trips per size", 1, 1000000),
+       util::boolFlag("csv", "print CSV instead of an aligned table")});
+  flags.parse(argc, argv);
+  const int iters = static_cast<int>(flags.getInt("iters"));
+  const std::string out = flags.getString("out");
 
   std::printf("=== calibrate_xfer_table ===\n");
   std::printf("a-priori transfer-time characterization (perf_main analog)\n\n");
@@ -65,11 +70,7 @@ int main(int argc, char** argv) {
     report.addRow({util::TextTable::integer(size),
                    util::TextTable::integer(t)});
   }
-  if (flags.getBool("csv", false)) {
-    report.printCsv(std::cout);
-  } else {
-    report.print(std::cout);
-  }
+  report.print(std::cout, flags.getBool("csv"));
   if (!table.saveFile(out)) {
     std::fprintf(stderr, "failed to write %s\n", out.c_str());
     return 1;

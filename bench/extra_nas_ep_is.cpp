@@ -17,8 +17,11 @@
 using namespace ovp;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  util::Flags flags(
+      "usage: extra_nas_ep_is [flags]\n"
+      "EP and IS (with FT for reference) under the overlap framework.\n",
+      {util::boolFlag("csv", "print CSV instead of an aligned table")});
+  flags.parse(argc, argv);
   std::printf("=== extra_nas_ep_is ===\n"
               "EP and IS under the overlap framework (the kernels the paper "
               "characterized but did not plot).\n\n");
@@ -53,10 +56,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv"));
   return 0;
 }

@@ -42,13 +42,13 @@ void pingLoop(mpi::Mpi& mpi, std::vector<std::uint8_t>& buf, int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    std::printf("usage: extra_trace_cost [--csv]\nframework flags:\n%s",
-                util::ovprofHelpText());
-    return 0;
-  }
+  util::Flags flags(
+      "usage: extra_trace_cost [flags]\n"
+      "Fixed-memory profiling vs full event tracing, and the virtual-time\n"
+      "overhead of the bounded trace ring.\n",
+      {util::boolFlag("csv", "print CSV instead of aligned tables")});
+  flags.parse(argc, argv);
+  const bool csv = flags.getBool("csv");
   std::printf("=== extra_trace_cost ===\n"
               "Fixed-memory profiling (the framework) vs full event tracing "
               "on the same traffic.\n\n");
@@ -82,11 +82,7 @@ int main(int argc, char** argv) {
          util::TextTable::num(queue_kb, 1),
          util::TextTable::integer(machine.reports()[0].queue_drains)});
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, csv);
   std::printf(
       "\nTrace storage grows linearly with run length; the framework's\n"
       "queue stays fixed and is simply drained more often.\n\n");
@@ -120,11 +116,7 @@ int main(int argc, char** argv) {
          util::TextTable::num(t_off > 0 ? 100.0 * (t_on - t_off) / t_off : 0.0,
                               2)});
   }
-  if (flags.getBool("csv", false)) {
-    ring.printCsv(std::cout);
-  } else {
-    ring.print(std::cout);
-  }
+  ring.print(std::cout, csv);
   std::printf(
       "\nThe ring is capped (drops are counted, never silent) and allocates\n"
       "only for the records it keeps; its host cost is charged in virtual\n"

@@ -1,32 +1,16 @@
 // Paper Fig. 6: Send-Irecv, pipelined-RDMA rendezvous, 1 MB.
 // Receiver-side view: only the RTS-borne first fragment overlaps; wait time is high and flat.
-#include <iostream>
-
 #include "microbench.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
 using namespace ovp::bench;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  MicrobenchConfig cfg;
-  cfg.preset = mpi::Preset::OpenMpiPipelined;
-  cfg.message = flags.getInt("message", 1 << 20);
-  cfg.sender_nonblocking = false;
-  cfg.recver_nonblocking = true;
-  cfg.measured_rank = 1;
-  cfg.iters = static_cast<int>(flags.getInt("iters", 50));
-  cfg.table_path = flags.getString("table", "");
-  cfg.compute_points = rendezvousComputeSweep();
-  printHeader("fig06_send_irecv_pipelined", "Receiver-side view: only the RTS-borne first fragment overlaps; wait time is high and flat.");
-  const auto points = runMicrobench(cfg);
-  const auto table = microbenchTable(points);
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
+  return microbenchMain(
+      argc, argv, "fig06_send_irecv_pipelined",
+      "Receiver-side view: only the RTS-borne first fragment overlaps; wait time is high and flat.",
+      {.preset = mpi::Preset::OpenMpiPipelined,
+       .sender_nonblocking = false,
+       .recver_nonblocking = true,
+       .measured_rank = 1});
 }

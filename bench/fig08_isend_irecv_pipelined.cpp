@@ -1,32 +1,14 @@
 // Paper Fig. 8: Isend-Irecv, pipelined-RDMA rendezvous, 1 MB.
 // Sender-side view with both sides non-blocking: still only the initial fragment overlaps.
-#include <iostream>
-
 #include "microbench.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
 using namespace ovp::bench;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  MicrobenchConfig cfg;
-  cfg.preset = mpi::Preset::OpenMpiPipelined;
-  cfg.message = flags.getInt("message", 1 << 20);
-  cfg.sender_nonblocking = true;
-  cfg.recver_nonblocking = true;
-  cfg.measured_rank = 0;
-  cfg.iters = static_cast<int>(flags.getInt("iters", 50));
-  cfg.table_path = flags.getString("table", "");
-  cfg.compute_points = rendezvousComputeSweep();
-  printHeader("fig08_isend_irecv_pipelined", "Sender-side view with both sides non-blocking: still only the initial fragment overlaps.");
-  const auto points = runMicrobench(cfg);
-  const auto table = microbenchTable(points);
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  return 0;
+  return microbenchMain(
+      argc, argv, "fig08_isend_irecv_pipelined",
+      "Sender-side view with both sides non-blocking: still only the initial fragment overlaps.",
+      {.preset = mpi::Preset::OpenMpiPipelined,
+       .recver_nonblocking = true});
 }

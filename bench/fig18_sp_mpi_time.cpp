@@ -6,16 +6,16 @@
 #include <iostream>
 
 #include "nas/sp.hpp"
-#include "util/flags.hpp"
-#include "util/table.hpp"
+#include "nas_figures.hpp"
 
 using namespace ovp;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  std::printf("=== fig18_sp_mpi_time ===\n"
-              "NAS SP mean per-rank MPI time, original vs modified.\n\n");
+  const util::Flags flags = bench::parseNasFigureFlags(
+      argc, argv, "fig18_sp_mpi_time",
+      "NAS SP mean per-rank MPI time, original vs modified.");
+  const int iterations = static_cast<int>(flags.getInt("iterations"));
+  std::printf("\n");
   util::TextTable table({"class", "procs", "orig_mpi_ms", "mod_mpi_ms",
                          "improvement_pct"});
   for (const nas::Class cls : {nas::Class::A, nas::Class::B}) {
@@ -24,9 +24,7 @@ int main(int argc, char** argv) {
       params.cls = cls;
       params.nranks = p;
       params.preset = mpi::Preset::Mvapich2;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = iterations;
       const auto orig = nas::runSp(params);
       params.modified = true;
       const auto mod = nas::runSp(params);
@@ -37,10 +35,6 @@ int main(int argc, char** argv) {
                     util::TextTable::num(100.0 * (o - m) / o, 1)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv"));
   return 0;
 }

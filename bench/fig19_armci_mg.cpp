@@ -8,16 +8,16 @@
 #include <iostream>
 
 #include "nas/mg.hpp"
-#include "util/flags.hpp"
-#include "util/table.hpp"
+#include "nas_figures.hpp"
 
 using namespace ovp;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  std::printf("=== fig19_armci_mg ===\n"
-              "NAS MG overlap: ARMCI blocking vs non-blocking (class B).\n\n");
+  const util::Flags flags = bench::parseNasFigureFlags(
+      argc, argv, "fig19_armci_mg",
+      "NAS MG overlap: ARMCI blocking vs non-blocking (class B).");
+  const int iterations = static_cast<int>(flags.getInt("iterations"));
+  std::printf("\n");
   util::TextTable table({"class", "procs", "variant", "verified", "min_pct",
                          "max_pct", "run_time_ms"});
   for (const int p : {4, 8, 16}) {
@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
       params.cls = nas::Class::B;
       params.nranks = p;
       params.variant = v;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = iterations;
       const auto r = nas::runMg(params);
       table.addRow({nas::className(params.cls), util::TextTable::integer(p),
                     nas::mgVariantName(v), r.verified ? "yes" : "NO",
@@ -39,10 +37,6 @@ int main(int argc, char** argv) {
                     util::TextTable::num(toMsec(r.time), 2)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv"));
   return 0;
 }

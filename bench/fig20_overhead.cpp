@@ -14,8 +14,7 @@
 #include "nas/lu.hpp"
 #include "nas/mg.hpp"
 #include "nas/sp.hpp"
-#include "util/flags.hpp"
-#include "util/table.hpp"
+#include "nas_figures.hpp"
 
 using namespace ovp;
 
@@ -39,9 +38,20 @@ void row(util::TextTable& table, const char* name, const RunFn& run,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  const int p = static_cast<int>(flags.getInt("procs", 4));
+  util::Flags flags(
+      "usage: fig20_overhead [flags]\n"
+      "Instrumented vs uninstrumented virtual run time of every NAS kernel,\n"
+      "class A.\n",
+      {util::intFlag("procs", "4",
+                     "rank count, in every kernel's template family", 1,
+                     65536),
+       util::boolFlag("csv", "print CSV instead of an aligned table")});
+  flags.parse(argc, argv);
+  const int p = static_cast<int>(flags.getInt("procs"));
+  for (const char* kernel : {"bt", "cg", "lu", "ft", "ep", "is", "sp", "mg"}) {
+    bench::requireRankCount("fig20_overhead: --procs=" + std::to_string(p),
+                            kernel, nas::Class::A, p);
+  }
   std::printf("=== fig20_overhead ===\n"
               "Instrumented vs uninstrumented virtual run time, class A, "
               "%d processes.\n\n", p);
@@ -81,10 +91,6 @@ int main(int argc, char** argv) {
     row(table, "MG(ARMCI)",
         [](const nas::MgParams& q) { return nas::runMg(q); }, mg);
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv"));
   return 0;
 }

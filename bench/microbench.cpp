@@ -1,11 +1,24 @@
 #include "microbench.hpp"
 
 #include <cstdio>
+#include <iostream>
 
-#include "util/strings.hpp"
+#include "overlap/xfer_table.hpp"
+#include "util/flags.hpp"
+#include "util/table.hpp"
 
 namespace ovp::bench {
 
+namespace {
+
+struct MicrobenchPoint {
+  DurationNs compute = 0;
+  double min_pct = 0;
+  double max_pct = 0;
+  DurationNs avg_wait = 0;
+};
+
+/// Runs the sweep and returns one point per compute value.
 std::vector<MicrobenchPoint> runMicrobench(const MicrobenchConfig& cfg) {
   std::vector<MicrobenchPoint> points;
   for (const DurationNs compute : cfg.compute_points) {
@@ -62,6 +75,7 @@ std::vector<MicrobenchPoint> runMicrobench(const MicrobenchConfig& cfg) {
   return points;
 }
 
+/// Renders the standard three-series table for a figure.
 util::TextTable microbenchTable(const std::vector<MicrobenchPoint>& points) {
   util::TextTable t({"compute_us", "min_overlap_pct", "max_overlap_pct",
                      "avg_wait_us"});
@@ -73,6 +87,8 @@ util::TextTable microbenchTable(const std::vector<MicrobenchPoint>& points) {
   }
   return t;
 }
+
+}  // namespace
 
 std::vector<DurationNs> eagerComputeSweep() {
   std::vector<DurationNs> v;
@@ -86,8 +102,39 @@ std::vector<DurationNs> rendezvousComputeSweep() {
   return v;
 }
 
-void printHeader(const char* figure, const char* description) {
+int microbenchMain(int argc, char** argv, const char* figure,
+                   const char* description, MicrobenchConfig cfg,
+                   bool both_sides) {
+  util::Flags flags(
+      std::string("usage: ") + figure + " [flags]\n" + description + "\n",
+      {util::intFlag("message", std::to_string(cfg.message),
+                     "message size in bytes", 1, 1 << 28),
+       util::intFlag("iters", std::to_string(cfg.iters),
+                     "messages per compute point", 1, 1000000),
+       util::stringFlag("table", "FILE",
+                        "a-priori transfer-time table (default: analytic)"),
+       util::boolFlag("csv", "print CSV instead of an aligned table")});
+  flags.parse(argc, argv);
+  cfg.message = flags.getInt("message");
+  cfg.iters = static_cast<int>(flags.getInt("iters"));
+  cfg.table_path = flags.getString("table");
+  if (!cfg.table_path.empty() &&
+      !overlap::XferTimeTable().loadFile(cfg.table_path)) {
+    std::fprintf(stderr, "%s: --table=%s: cannot load\n", figure,
+                 cfg.table_path.c_str());
+    return 2;
+  }
   std::printf("=== %s ===\n%s\n\n", figure, description);
+  const std::vector<Rank> sides =
+      both_sides ? std::vector<Rank>{0, 1} : std::vector{cfg.measured_rank};
+  for (const Rank side : sides) {
+    cfg.measured_rank = side;
+    if (both_sides) std::cout << (side == 0 ? "-- sender (Isend) --\n"
+                                            : "-- receiver (Irecv) --\n");
+    microbenchTable(runMicrobench(cfg)).print(std::cout, flags.getBool("csv"));
+    if (both_sides) std::cout << '\n';
+  }
+  return 0;
 }
 
 }  // namespace ovp::bench

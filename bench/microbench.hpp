@@ -12,9 +12,13 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
-#include "util/table.hpp"
 
 namespace ovp::bench {
+
+/// Default compute sweeps used by the paper: 0-30 us for the eager study,
+/// 0-1.75 ms for the rendezvous study.
+[[nodiscard]] std::vector<DurationNs> eagerComputeSweep();
+[[nodiscard]] std::vector<DurationNs> rendezvousComputeSweep();
 
 struct MicrobenchConfig {
   mpi::Preset preset = mpi::Preset::OpenMpiPipelined;
@@ -23,33 +27,19 @@ struct MicrobenchConfig {
   bool recver_nonblocking = false;
   Rank measured_rank = 0;
   int iters = 50;
-  std::vector<DurationNs> compute_points;
+  std::vector<DurationNs> compute_points = rendezvousComputeSweep();
   /// Optional: path of a transfer-time table (calibrated a priori); the
-  /// analytic table is used when empty or unreadable.
-  std::string table_path;
+  /// analytic table is used when empty.
+  std::string table_path = {};
 };
 
-struct MicrobenchPoint {
-  DurationNs compute = 0;
-  double min_pct = 0;
-  double max_pct = 0;
-  DurationNs avg_wait = 0;
-};
-
-/// Runs the sweep and returns one point per compute value.
-[[nodiscard]] std::vector<MicrobenchPoint> runMicrobench(
-    const MicrobenchConfig& cfg);
-
-/// Renders the standard three-series table for a figure.
-[[nodiscard]] util::TextTable microbenchTable(
-    const std::vector<MicrobenchPoint>& points);
-
-/// Default compute sweeps used by the paper: 0-30 us for the eager study,
-/// 0-1.75 ms for the rendezvous study.
-[[nodiscard]] std::vector<DurationNs> eagerComputeSweep();
-[[nodiscard]] std::vector<DurationNs> rendezvousComputeSweep();
-
-/// Shared banner so every figure binary identifies itself uniformly.
-void printHeader(const char* figure, const char* description);
+/// The whole main() of one figure.  Parses the flags every figure shares
+/// (--message, defaulting to cfg.message, --iters, --table and --csv),
+/// prints the banner, runs the sweep and prints the three-series table for
+/// cfg.measured_rank, or for the sender and then the receiver when
+/// `both_sides`.  Returns the exit code.
+int microbenchMain(int argc, char** argv, const char* figure,
+                   const char* description, MicrobenchConfig cfg,
+                   bool both_sides = false);
 
 }  // namespace ovp::bench

@@ -45,17 +45,13 @@ double rowError(const model::EvalResult& result, const char* metric) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    std::printf(
-        "usage: model_fit_bench [--out=BENCH_model_fit.json]\n"
-        "Times the ovprof_model fit pipeline on a CG class sweep and records\n"
-        "held-out prediction error as a JSON bench artifact.\n"
-        "framework flags (any ovprof binary):\n%s",
-        util::ovprofHelpText());
-    return 0;
-  }
+  util::Flags flags(
+      "usage: model_fit_bench [flags]\n"
+      "Times the ovprof_model fit pipeline on a CG class sweep and records\n"
+      "held-out prediction error as a JSON bench artifact.\n",
+      {util::stringFlag("out", "FILE", "bench artifact to write",
+                        "BENCH_model_fit.json")});
+  flags.parse(argc, argv);
 
   std::printf("=== model_fit_bench ===\n"
               "CG S+A sweep -> fit; class B held out for prediction error.\n");
@@ -78,8 +74,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string out_path =
-      flags.getString("out", "BENCH_model_fit.json");
+  const std::string out_path = flags.getString("out");
   std::ofstream os(out_path, std::ios::binary);
   if (!os) {
     std::fprintf(stderr, "model_fit_bench: failed to write %s\n",

@@ -1,9 +1,39 @@
 #include "nas_figures.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 
+#include "nas/symbolic.hpp"
+
 namespace ovp::bench {
+
+util::Flags parseNasFigureFlags(int argc, char** argv, const char* figure,
+                                const char* description,
+                                std::vector<util::FlagSpec> extra,
+                                const char* note) {
+  extra.insert(
+      extra.begin(),
+      {util::intFlag("iterations", "0",
+                     "outer iterations, 0 for the class default", 0, 1000000),
+       util::boolFlag("csv", "print CSV instead of an aligned table")});
+  util::Flags flags(
+      std::string("usage: ") + figure + " [flags]\n" + description + "\n" +
+          note,
+      std::move(extra));
+  flags.parse(argc, argv);
+  std::printf("=== %s ===\n%s\n", figure, description);
+  return flags;
+}
+
+void requireRankCount(const std::string& context, const std::string& kernel,
+                      nas::Class cls, int nranks, int iterations) {
+  const std::string why = nas::rankCountError(kernel, cls, nranks, iterations);
+  if (!why.empty()) {
+    std::fprintf(stderr, "%s: %s\n", context.c_str(), why.c_str());
+    std::exit(2);
+  }
+}
 
 overlap::OverlapAccum aggregateSizeClass(
     const std::vector<overlap::Report>& reports, std::size_t cls) {
@@ -21,14 +51,20 @@ overlap::OverlapAccum aggregateSizeClass(
 }
 
 void runCharacterization(const char* figure, const char* description,
-                         const KernelFn& kernel, mpi::Preset preset,
+                         const char* kernel_name, const KernelFn& kernel,
+                         mpi::Preset preset,
                          const std::vector<nas::Class>& classes,
                          const std::vector<int>& rank_counts, int argc,
                          char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) std::exit(2);
-  std::printf("=== %s ===\n%s\nlibrary: %s\n\n", figure, description,
-              mpi::presetName(preset));
+  const util::Flags flags =
+      parseNasFigureFlags(argc, argv, figure, description);
+  const int iterations = static_cast<int>(flags.getInt("iterations"));
+  for (const nas::Class cls : classes) {
+    for (const int p : rank_counts) {
+      requireRankCount(figure, kernel_name, cls, p, iterations);
+    }
+  }
+  std::printf("library: %s\n\n", mpi::presetName(preset));
   util::TextTable table({"class", "procs", "verified", "min_pct", "max_pct",
                          "short_max_pct", "long_max_pct", "mpi_time_ms",
                          "run_time_ms"});
@@ -38,9 +74,7 @@ void runCharacterization(const char* figure, const char* description,
       params.cls = cls;
       params.nranks = p;
       params.preset = preset;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = iterations;
       const nas::NasResult r = kernel(params);
       const auto short_cls = aggregateSizeClass(r.reports, 0);
       const auto long_cls = aggregateSizeClass(r.reports, 1);
@@ -54,11 +88,7 @@ void runCharacterization(const char* figure, const char* description,
                     util::TextTable::num(toMsec(r.time), 2)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv"));
 }
 
 }  // namespace ovp::bench

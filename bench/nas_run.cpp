@@ -2,16 +2,10 @@
 // the per-process overlap reports — the day-to-day driver a performance
 // analyst would use.
 //
-// Usage:
-//   nas_run [--kernel=cg|bt|lu|ft|sp|mg|ep|is] [--class=S|A|B]
-//           [--procs=N] [--preset=pipelined|leavepinned|mvapich2|mv2write]
-//           [--modified] [--variant=mpi|armci|armci-nb]
-//           [--reports=/path/prefix] [--iterations=N] [--ovprof-verify]
-//           [--ovprof-fault=SPEC] [--ovprof-trace=FILE]
-//
 // --procs must be a rank count the kernel's decomposition supports (the
 // family of its communication template, src/nas/symbolic.cpp); any other
-// count, an unknown kernel or MG variant exits 2 with the supported family.
+// count exits 2 with the supported family.  The flags themselves, with
+// their defaults and ranges, are the table in main(); --help prints it.
 //
 // --ovprof-verify (or OVPROF_VERIFY=1) attaches the analysis layer: a
 // StreamVerifier on every rank's event stream plus the library UsageChecker.
@@ -61,50 +55,62 @@
 #include "nas/sp.hpp"
 #include "nas/symbolic.hpp"
 #include "overlap/report_io.hpp"
-#include "skeleton/symbolic/instantiate.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "trace/timeline.hpp"
 #include "util/flags.hpp"
-#include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace ovp;
 
-namespace {
-
-void printUsage() {
-  std::printf(
-      "usage: nas_run [--kernel=cg|bt|lu|ft|sp|mg|ep|is] [--class=S|A|B]\n"
-      "               [--procs=N] "
-      "[--preset=pipelined|leavepinned|mvapich2|mv2write]\n"
-      "               [--modified] [--variant=mpi|armci|armci-nb]\n"
-      "               [--reports=/path/prefix] [--iterations=N]\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    printUsage();
-    return 0;
-  }
+  util::Flags flags(
+      "usage: nas_run [flags]\n"
+      "Runs one NAS kernel on the simulated cluster and prints its overlap\n"
+      "bounds, optionally with tracing, lint, faults and a model sample.\n",
+      {
+          // class, preset and variant list their choices in the order of
+          // the C++ enum getChoice() indexes.
+          util::enumFlag("kernel", "cg|bt|lu|ft|sp|mg|ep|is", "cg",
+                         "NAS kernel"),
+          util::enumFlag("class", "S|A|B", "S", "problem class"),
+          util::intFlag("procs", "4",
+                        "rank count, in the kernel's template family", 1,
+                        65536),
+          util::enumFlag("preset", "pipelined|leavepinned|mvapich2|mv2write",
+                         "mvapich2", "MPI library preset"),
+          util::boolFlag("modified", "SP only: run the Iprobe-modified solve"),
+          util::enumFlag("variant", "mpi|armci|armci-nb", "",
+                         "MG only: communication variant (default armci-nb)"),
+          util::intFlag("iterations", "0",
+                        "outer iterations, 0 for the class default", 0,
+                        1000000),
+          util::stringFlag("reports", "PREFIX",
+                           "write the per-rank reports to PREFIX.rank*.ovp"),
+          util::frameworkFlag("ovprof-verify"),
+          util::frameworkFlag("ovprof-fault"),
+          util::frameworkFlag("ovprof-trace"),
+          util::frameworkFlag("ovprof-trace-capacity"),
+          util::frameworkFlag("ovprof-trace-window"),
+          util::frameworkFlag("ovprof-lint"),
+          util::frameworkFlag("ovprof-lint-json"),
+          util::frameworkFlag("ovprof-model"),
+          util::frameworkFlag("ovprof-model-param"),
+          util::frameworkFlag("ovprof-vci"),
+          util::frameworkFlag("ovprof-vci-rails"),
+          util::frameworkFlag("ovprof-workers"),
+      });
+  flags.parse(argc, argv);
 
   nas::SpParams params;  // superset of NasParams (modified/stages unused
                          // outside SP)
-  const std::string cls = flags.getString("class", "S");
-  params.cls = cls == "A" ? nas::Class::A
-                          : (cls == "B" ? nas::Class::B : nas::Class::S);
-  params.nranks = static_cast<int>(flags.getInt("procs", 4));
-  params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-  params.modified = flags.getBool("modified", false);
-  params.verify = util::verifyRequested(flags);
-  params.workers = util::workersRequested(flags);
-  const std::string fault_spec = util::faultSpecRequested(flags);
+  params.cls = static_cast<nas::Class>(flags.getChoice("class"));
+  params.nranks = static_cast<int>(flags.getInt("procs"));
+  params.iterations = static_cast<int>(flags.getInt("iterations"));
+  params.modified = flags.getBool("modified");
+  params.verify = flags.getBool("ovprof-verify");
+  params.workers = static_cast<int>(flags.getInt("ovprof-workers"));
+  const std::string fault_spec = flags.getString("ovprof-fault");
   if (!fault_spec.empty()) {
     if (!net::FaultModel::parse(fault_spec, params.fabric.fault)) {
       std::fprintf(stderr, "bad --ovprof-fault spec: %s\n", fault_spec.c_str());
@@ -112,61 +118,34 @@ int main(int argc, char** argv) {
     }
     std::printf("fault model: %s\n", params.fabric.fault.describe().c_str());
   }
-  const std::string vci_spec = util::vciSpecRequested(flags);
+  const std::string vci_spec = flags.getString("ovprof-vci");
   if (!vci_spec.empty()) {
     if (!net::VciParams::parse(vci_spec, params.fabric.vci)) {
       std::fprintf(stderr, "bad --ovprof-vci spec: %s\n", vci_spec.c_str());
       return 2;
     }
   }
-  params.fabric.vci.rails = util::vciRailsRequested(flags);
-  const std::string trace_path = util::traceSpecRequested(flags);
-  const DurationNs trace_window =
-      flags.getInt("ovprof-trace-window", 1'000'000);
-  const bool lint = util::lintRequested(flags);
-  const std::string lint_json = util::lintJsonPathRequested(flags);
-  if (flags.has("ovprof-trace-capacity")) {
-    const std::string text = flags.getString("ovprof-trace-capacity", "");
-    std::int64_t cap = 0;
-    if (!util::parseInt(text, cap) || cap < 1) {
-      std::fprintf(stderr,
-                   "bad --ovprof-trace-capacity: %s (want an integer >= 1)\n",
-                   text.c_str());
-      return 2;
-    }
-    params.trace.ring_capacity = static_cast<std::size_t>(cap);
-  }
+  params.fabric.vci.rails =
+      static_cast<int>(flags.getInt("ovprof-vci-rails"));
+  const std::string trace_path = flags.getString("ovprof-trace");
+  const DurationNs trace_window = flags.getInt("ovprof-trace-window");
+  const bool lint = flags.getBool("ovprof-lint");
+  const std::string lint_json = flags.getString("ovprof-lint-json");
+  params.trace.ring_capacity =
+      static_cast<std::size_t>(flags.getInt("ovprof-trace-capacity"));
   params.trace.enabled = !trace_path.empty() || lint;
-  const std::string preset = flags.getString("preset", "mvapich2");
-  params.preset = preset == "pipelined" ? mpi::Preset::OpenMpiPipelined
-                  : preset == "leavepinned"
-                      ? mpi::Preset::OpenMpiLeavePinned
-                  : preset == "mv2write" ? mpi::Preset::Mvapich2RdmaWrite
-                                         : mpi::Preset::Mvapich2;
+  params.preset = static_cast<mpi::Preset>(flags.getChoice("preset"));
 
-  const std::string kernel = flags.getString("kernel", "cg");
-  {
-    // The kernel's communication template names the rank counts it
-    // supports; reject the rest before building the machine.
-    nas::SkeletonParams shape;
-    shape.cls = params.cls;
-    shape.iterations = params.iterations;
-    if (kernel == "mg") shape.variant = flags.getString("variant", "");
-    const nas::SymSkeletonBuildResult sym =
-        nas::buildNasSymSkeleton(kernel, shape);
-    if (!sym.ok()) {
-      std::fprintf(stderr, "nas_run: %s\n", sym.error.c_str());
-      return 2;
-    }
-    if (!skel::sym::familyAdmits(sym.skeleton, params.nranks, nullptr)) {
-      std::fprintf(stderr,
-                   "nas_run: %s class %s cannot run on --procs=%d; "
-                   "supported rank counts: %s\n",
-                   kernel.c_str(), nas::className(params.cls),
-                   params.nranks,
-                   skel::sym::familyText(sym.skeleton).c_str());
-      return 2;
-    }
+  const std::string kernel = flags.getString("kernel");
+  // The kernel's communication template names the rank counts it supports;
+  // reject the rest before building the machine.
+  const std::string why =
+      nas::rankCountError(kernel, params.cls, params.nranks, params.iterations,
+                          flags.getString("variant"));
+  if (!why.empty()) {
+    std::fprintf(stderr, "nas_run: --procs=%d: %s\n", params.nranks,
+                 why.c_str());
+    return 2;
   }
   nas::NasResult result;
   if (kernel == "cg") {
@@ -183,17 +162,13 @@ int main(int argc, char** argv) {
     result = nas::runEp(params);
   } else if (kernel == "is") {
     result = nas::runIs(params);
-  } else if (kernel == "mg") {
+  } else {
     nas::MgParams mg;
     static_cast<nas::NasParams&>(mg) = params;
-    const std::string variant = flags.getString("variant", "armci-nb");
-    mg.variant = variant == "mpi" ? nas::MgVariant::MpiBlocking
-                 : variant == "armci" ? nas::MgVariant::ArmciBlocking
-                                      : nas::MgVariant::ArmciNonBlocking;
+    if (flags.has("variant")) {
+      mg.variant = static_cast<nas::MgVariant>(flags.getChoice("variant"));
+    }
     result = nas::runMg(mg);
-  } else {
-    std::fprintf(stderr, "unknown kernel: %s\n", kernel.c_str());
-    return 2;
   }
 
   std::printf("%s class %s on %d processes (%s)\n", kernel.c_str(),
@@ -360,7 +335,7 @@ int main(int argc, char** argv) {
     lint_failed = !lr.clean();
   }
 
-  const std::string reports = flags.getString("reports", "");
+  const std::string reports = flags.getString("reports");
   if (!reports.empty()) {
     if (!overlap::ReportIo::saveAll(result.reports, reports)) {
       std::fprintf(stderr, "failed to write %s.rank*.ovp\n", reports.c_str());
@@ -369,12 +344,13 @@ int main(int argc, char** argv) {
     std::printf("wrote %zu report files to %s.rank*.ovp\n",
                 result.reports.size(), reports.c_str());
   }
-  const std::string model_path = util::modelSamplePathRequested(flags);
+  const std::string model_path = flags.getString("ovprof-model");
   if (!model_path.empty()) {
     const model::RunSample sample = model::RunSample::fromReports(
-        result.reports, kernel, cls, mpi::presetName(params.preset),
-        flags.getString("variant", ""), params.nranks, params.iterations,
-        util::modelParamRequested(flags));
+        result.reports, kernel, flags.getString("class"),
+        mpi::presetName(params.preset), flags.getString("variant"),
+        params.nranks, params.iterations,
+        flags.getDouble("ovprof-model-param"));
     if (!sample.saveFile(model_path)) {
       std::fprintf(stderr, "failed to write %s\n", model_path.c_str());
       return 1;

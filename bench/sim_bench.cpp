@@ -105,41 +105,36 @@ double achievedGbps(const RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
-  if (util::helpRequested(flags)) {
-    std::printf(
-        "usage: sim_bench [--procs=16] [--iters=400] [--halo=1024]\n"
-        "                 [--workers=1] [--out=BENCH_sim.json]\n"
-        "                 [--vci=N[,policy]] [--rail=R]\n"
-        "                 [--net-out=BENCH_net.json]\n"
-        "Times the discrete-event engine on a synthetic halo-exchange job\n"
-        "and records events/sec and peak RSS as a JSON bench artifact.\n"
-        "--workers=N runs the engine's conservative parallel mode (results\n"
-        "are bit-identical to --workers=1).\n"
-        "--vci/--rail channelize the fabric for the main run (shorthand for\n"
-        "--ovprof-vci/--ovprof-vci-rails).  --net-out=FILE additionally\n"
-        "sweeps 1/2/4 channels with one rail per channel and records\n"
-        "events/s plus achieved wire bandwidth per point.\n"
-        "framework flags (any ovprof binary):\n%s",
-        util::ovprofHelpText());
-    return 0;
-  }
-  const int nranks = static_cast<int>(flags.getInt("procs", 16));
-  const int iters = static_cast<int>(flags.getInt("iters", 400));
-  const int halo = static_cast<int>(flags.getInt("halo", 1024));
-  const int workers = static_cast<int>(
-      flags.getInt("workers", util::workersRequested(flags)));
+  util::Flags flags(
+      "usage: sim_bench [flags]\n"
+      "Times the discrete-event engine on a synthetic halo-exchange job and\n"
+      "records events/sec and peak RSS as a JSON bench artifact.  With\n"
+      "--net-out it also sweeps 1/2/4 VCI channels, one rail per channel,\n"
+      "and records events/s and achieved wire bandwidth per point.\n",
+      {util::intFlag("procs", "16", "ranks", 1, 65536),
+       util::intFlag("iters", "400", "halo + allreduce rounds", 1, 1000000),
+       util::intFlag("halo", "1024", "doubles per halo message", 1, 1 << 20),
+       util::stringFlag("out", "FILE", "bench artifact to write",
+                        "BENCH_sim.json"),
+       util::stringFlag("net-out", "FILE",
+                        "also run the channel sweep and write it to FILE"),
+       util::frameworkFlag("ovprof-workers"),
+       util::frameworkFlag("ovprof-vci"),
+       util::frameworkFlag("ovprof-vci-rails")});
+  flags.parse(argc, argv);
+  const int nranks = static_cast<int>(flags.getInt("procs"));
+  const int iters = static_cast<int>(flags.getInt("iters"));
+  const int halo = static_cast<int>(flags.getInt("halo"));
+  const int workers = static_cast<int>(flags.getInt("ovprof-workers"));
 
   net::VciParams vci;  // disabled unless asked for
-  const std::string vci_spec =
-      flags.getString("vci", util::vciSpecRequested(flags));
+  const std::string vci_spec = flags.getString("ovprof-vci");
   if (!vci_spec.empty() && !net::VciParams::parse(vci_spec, vci)) {
-    std::fprintf(stderr, "sim_bench: bad --vci spec '%s'\n", vci_spec.c_str());
+    std::fprintf(stderr, "sim_bench: bad --ovprof-vci spec '%s'\n",
+                 vci_spec.c_str());
     return 2;
   }
-  vci.rails = static_cast<int>(
-      flags.getInt("rail", util::vciRailsRequested(flags)));
+  vci.rails = static_cast<int>(flags.getInt("ovprof-vci-rails"));
 
   std::printf("=== sim_bench ===\n"
               "%d ranks, %d iters, %d-double halo exchange + allreduce, "
@@ -159,7 +154,7 @@ int main(int argc, char** argv) {
   getrusage(RUSAGE_SELF, &usage);
   const std::int64_t peak_rss_kb = usage.ru_maxrss;  // Linux: kilobytes
 
-  const std::string out_path = flags.getString("out", "BENCH_sim.json");
+  const std::string out_path = flags.getString("out");
   {
     std::ofstream os(out_path, std::ios::binary);
     if (!os) {
@@ -194,7 +189,7 @@ int main(int argc, char** argv) {
 
   // Optional channel sweep: 1/2/4 VCI channels with one rail per channel,
   // so the 2- and 4-channel points exercise real multi-rail arbitration.
-  const std::string net_path = flags.getString("net-out", "");
+  const std::string net_path = flags.getString("net-out");
   if (!net_path.empty()) {
     std::ofstream os(net_path, std::ios::binary);
     if (!os) {

@@ -11,32 +11,23 @@
 
 #include "analysis/lint.hpp"
 #include "nas/sp.hpp"
+#include "nas_figures.hpp"
 #include "trace/export.hpp"
-#include "util/flags.hpp"
-#include "util/table.hpp"
 
 namespace ovp::bench {
 
 inline void runSpFigure(const char* figure, const char* description,
                         nas::Class cls, bool section_scope, int argc,
                         char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) std::exit(2);
-  if (util::helpRequested(flags)) {
-    std::printf(
-        "usage: %s [--iterations=N] [--csv]\n"
-        "With --ovprof-trace=FILE each of the six configurations writes its\n"
-        "own Chrome trace to FILE.p<procs>.<variant>.json (+ .csv).\n"
-        "With --ovprof-lint each configuration's trace is linted in-process\n"
-        "(findings above note level fail the run).\n"
-        "framework flags:\n%s",
-        figure, util::ovprofHelpText());
-    std::exit(0);
-  }
-  const std::string trace_path = util::traceSpecRequested(flags);
-  const bool lint = util::lintRequested(flags);
-  std::printf("=== %s ===\n%s\nlibrary: %s\n\n", figure, description,
-              mpi::presetName(mpi::Preset::Mvapich2));
+  const util::Flags flags = parseNasFigureFlags(
+      argc, argv, figure, description,
+      {util::frameworkFlag("ovprof-trace"), util::frameworkFlag("ovprof-lint")},
+      "Each of the six configurations writes its own trace to\n"
+      "FILE.p<procs>.<variant>.json and is linted on its own.\n");
+  const std::string trace_path = flags.getString("ovprof-trace");
+  const bool lint = flags.getBool("ovprof-lint");
+  const int iterations = static_cast<int>(flags.getInt("iterations"));
+  std::printf("library: %s\n\n", mpi::presetName(mpi::Preset::Mvapich2));
   util::TextTable table({"class", "procs", "variant", "verified", "min_pct",
                          "max_pct", "mpi_time_ms"});
   for (const int p : {4, 9, 16}) {
@@ -46,9 +37,7 @@ inline void runSpFigure(const char* figure, const char* description,
       params.nranks = p;
       params.preset = mpi::Preset::Mvapich2;  // the paper's SP exercise
       params.modified = modified;
-      if (flags.has("iterations")) {
-        params.iterations = static_cast<int>(flags.getInt("iterations", 0));
-      }
+      params.iterations = iterations;
       if (!trace_path.empty() || lint) params.trace.enabled = true;
       const nas::NasResult r = nas::runSp(params);
       if (r.trace && !trace_path.empty()) {
@@ -77,11 +66,7 @@ inline void runSpFigure(const char* figure, const char* description,
                     util::TextTable::num(toMsec(r.mpiTime()), 2)});
     }
   }
-  if (flags.getBool("csv", false)) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  table.print(std::cout, flags.getBool("csv"));
 }
 
 }  // namespace ovp::bench

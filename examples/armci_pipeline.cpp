@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "armci/armci.hpp"
+#include "util/flags.hpp"
 
 using namespace ovp;
 
@@ -17,7 +18,8 @@ constexpr Bytes kBlock = 256 * 1024;
 constexpr int kBlocks = 24;
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::Flags("usage: armci_pipeline\n", {}).parse(argc, argv);  // no flags
   armci::ArmciJobConfig job;
   job.nranks = 2;
   armci::ArmciMachine machine(job);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -60,7 +61,8 @@ Result explore(mpi::Preset preset, Bytes msg) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::Flags("usage: protocol_explorer\n", {}).parse(argc, argv);  // no flags
   std::printf("Isend / compute / Wait, computation ~= transfer time.\n"
               "Overlap band is the sender's [min,max] bound; iter time is\n"
               "the full exchange pipeline step.\n\n");

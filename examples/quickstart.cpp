@@ -22,14 +22,17 @@
 using namespace ovp;
 
 int main(int argc, char** argv) {
-  util::Flags flags;
-  if (!flags.parse(argc, argv)) return 2;
+  util::Flags flags("usage: quickstart [flags]\n"
+                    "Two ranks overlap a 1 MB Isend with 2 ms of compute; "
+                    "prints rank 0's report.\n",
+                    {util::frameworkFlag("ovprof-verify")});
+  flags.parse(argc, argv);
 
   mpi::JobConfig job;
   job.nranks = 2;
   job.mpi.preset = mpi::Preset::Mvapich2;  // try OpenMpiPipelined!
   // --ovprof-verify (or OVPROF_VERIFY=1) attaches the analysis layer.
-  job.mpi.verify = util::verifyRequested(flags);
+  job.mpi.verify = flags.getBool("ovprof-verify");
 
   constexpr Bytes kMessage = 1 << 20;
   constexpr int kIters = 20;

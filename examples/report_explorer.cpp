@@ -8,11 +8,13 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 using namespace ovp;
 
-int main() {
+int main(int argc, char** argv) {
+  util::Flags("usage: report_explorer\n", {}).parse(argc, argv);  // no flags
   // A deliberately imbalanced job: rank 0 overlaps well, rank 1 does not.
   mpi::JobConfig job;
   job.nranks = 4;

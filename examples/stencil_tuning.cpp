@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mpi/machine.hpp"
+#include "util/flags.hpp"
 
 using namespace ovp;
 
@@ -128,7 +129,8 @@ Outcome runStencil(int nranks, bool with_iprobe) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::Flags("usage: stencil_tuning\n", {}).parse(argc, argv);  // no flags
   constexpr int kRanks = 4;
   std::printf("2-D Jacobi halo exchange on %d ranks, %d iterations\n\n",
               kRanks, kIters);

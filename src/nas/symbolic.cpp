@@ -817,6 +817,20 @@ SkeletonBuildResult buildNasSkeleton(const std::string& kernel,
   return out;
 }
 
+std::string rankCountError(const std::string& kernel, Class cls, int nranks,
+                           int iterations, const std::string& variant) {
+  SkeletonParams params;
+  params.cls = cls;
+  params.iterations = iterations;
+  params.variant = variant;
+  const SymSkeletonBuildResult sym = buildNasSymSkeleton(kernel, params);
+  if (!sym.ok()) return sym.error;
+  if (skel::sym::familyAdmits(sym.skeleton, nranks, nullptr)) return "";
+  return kernel + " class " + className(cls) + " cannot run on " +
+         std::to_string(nranks) + " ranks; supported rank counts: " +
+         skel::sym::familyText(sym.skeleton);
+}
+
 const std::vector<std::string>& nasKernels() {
   static const std::vector<std::string> kKernels = {
       "bt", "cg", "ep", "ft", "is", "lu", "mg", "sp"};

@@ -14,7 +14,7 @@
 //     deadlock-freedom for the whole rank-count family in one run and
 //     extracts closed-form per-site cost terms for the model layer;
 //   * the family guard is the set of rank counts the kernel supports
-//     (nas_run rejects the rest up front).
+//     (rankCountError; every NAS driver rejects the rest up front).
 //
 // The per-kernel conformance ctests (a traced run embedded into the
 // instantiated skeleton's match relation) keep the templates honest
@@ -67,6 +67,13 @@ struct SkeletonBuildResult {
 /// instantiate(buildNasSymSkeleton(kernel, params), params.nranks).
 [[nodiscard]] SkeletonBuildResult buildNasSkeleton(
     const std::string& kernel, const SkeletonParams& params);
+
+/// Empty when `kernel` (at class `cls`, `iterations` and, for MG,
+/// `variant`) runs on `nranks` ranks; otherwise why not, naming the rank
+/// counts its template family supports.
+[[nodiscard]] std::string rankCountError(const std::string& kernel, Class cls,
+                                         int nranks, int iterations = 0,
+                                         const std::string& variant = "");
 
 /// The kernel names both builders accept, in golden-file order.
 [[nodiscard]] const std::vector<std::string>& nasKernels();

@@ -19,7 +19,7 @@ struct Row {
 };
 
 struct EndTime {
-  Rank rank = 0;
+  std::int64_t rank = 0;
   TimeNs time = 0;
   std::size_t lineno = 0;
 };
@@ -44,6 +44,8 @@ ReadResult readCsv(std::istream& is) {
   std::vector<std::tuple<Rank, std::int64_t, Bytes>> segments;
   std::vector<Row> rows;
   bool header_seen = false;
+  std::size_t wild_line = 0;
+  std::int64_t wild_rank = 0;
 
   std::string line;
   std::size_t lineno = 0;
@@ -60,10 +62,16 @@ ReadResult readCsv(std::istream& is) {
       const std::string_view key = util::trim(f[0]);
       std::int64_t a = 0, b = 0, c = 0;
       if (key == "ranks" && f.size() >= 2 && parseField(f[1], a)) {
+        if (a > kMaxTraceRanks) {
+          result.error = lineError(
+              lineno, "# ranks " + std::to_string(a) + " above the limit " +
+                          std::to_string(kMaxTraceRanks));
+          return result;
+        }
         declared_ranks = a;
       } else if (key == "end_time" && f.size() >= 3 && parseField(f[1], a) &&
                  parseField(f[2], b)) {
-        end_times.push_back({static_cast<Rank>(a), b, lineno});
+        end_times.push_back({a, b, lineno});
       } else if (key == "xfer_point" && f.size() >= 3 && parseField(f[1], a) &&
                  parseField(f[2], b)) {
         xfer_points.emplace_back(a, b);
@@ -114,6 +122,12 @@ ReadResult readCsv(std::istream& is) {
       return result;
     }
     row.rec.kind = kind;
+    // A rank outside [0, kMaxTraceRanks) is invalid whatever "# ranks"
+    // says, and may not survive the narrowing to Rank: note the first.
+    if ((rank < 0 || rank >= kMaxTraceRanks) && wild_line == 0) {
+      wild_line = lineno;
+      wild_rank = rank;
+    }
     row.rec.rank = static_cast<Rank>(rank);
     row.rec.peer = static_cast<Rank>(peer);
     row.rec.tag = static_cast<std::int32_t>(tag);
@@ -128,22 +142,26 @@ ReadResult readCsv(std::istream& is) {
   }
 
   // Ranks index every per-rank table below: reject the first line (in file
-  // order) naming a negative rank, or one at or past a declared "# ranks".
+  // order) naming a negative rank, or one at or past the declared "# ranks"
+  // (kMaxTraceRanks when undeclared).
+  const std::int64_t bound =
+      declared_ranks >= 0 ? declared_ranks : kMaxTraceRanks;
   std::size_t bad_line = 0;
-  Rank bad_rank = 0;
-  const auto checkRank = [&](Rank r, std::size_t at) {
-    const bool bad = r < 0 || (declared_ranks >= 0 && r >= declared_ranks);
+  std::int64_t bad_rank = 0;
+  const auto checkRank = [&](std::int64_t r, std::size_t at) {
+    const bool bad = r < 0 || r >= bound;
     if (bad && (bad_line == 0 || at < bad_line)) {
       bad_line = at;
       bad_rank = r;
     }
   };
+  if (wild_line != 0) checkRank(wild_rank, wild_line);
   for (const Row& row : rows) checkRank(row.rec.rank, row.lineno);
   for (const EndTime& e : end_times) checkRank(e.rank, e.lineno);
   if (bad_line != 0) {
     std::string what = "rank " + std::to_string(bad_rank) + " out of range";
-    if (declared_ranks >= 0) {
-      what += " [0, " + std::to_string(declared_ranks) + ")";
+    if (declared_ranks >= 0 || bad_rank >= bound) {
+      what += " [0, " + std::to_string(bound) + ")";
     }
     result.error = lineError(bad_line, what);
     return result;
@@ -180,7 +198,9 @@ ReadResult readCsv(std::istream& is) {
       collector->noteSectionName(row.rec.rank, row.rec.id, row.name);
     }
   }
-  for (const EndTime& e : end_times) collector->setEndTime(e.rank, e.time);
+  for (const EndTime& e : end_times) {
+    collector->setEndTime(static_cast<Rank>(e.rank), e.time);
+  }
   for (const auto& [r, n] : dropped) {
     if (r >= 0 && r < nranks) collector->restoreDropped(r, n);
   }

@@ -12,10 +12,13 @@
 // doesn't: unknown '#' metadata lines are skipped, while a malformed record
 // row fails the whole load with a line-numbered error (a trace that cannot
 // be trusted should not be silently analyzed).  So does a record row or
-// "# end_time" line whose rank is negative or, when "# ranks" is given, not
-// below it.
+// "# end_time" line whose rank is negative or not below the rank count:
+// "# ranks" when given, kMaxTraceRanks otherwise.  A "# ranks" above
+// kMaxTraceRanks is rejected too, so the Collector is never sized from an
+// unchecked number.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -23,6 +26,11 @@
 #include "trace/collector.hpp"
 
 namespace ovp::trace {
+
+/// The most ranks a trace file may name.  Far above any job the simulator
+/// runs, and low enough that the per-rank tables of a hostile or corrupt
+/// file cannot exhaust memory.
+inline constexpr std::int64_t kMaxTraceRanks = std::int64_t{1} << 16;
 
 struct ReadResult {
   /// Rebuilt collector; null when the load failed.

@@ -1,106 +1,128 @@
-// Minimal --key=value command-line flag parser for bench and example
-// binaries.  Every binary must run with no arguments (paper defaults); flags
-// exist so experiments can be re-run with different parameters.
+// Schema-driven --key=value command-line parser for the bench, tool and
+// example binaries.  Each binary hands Flags one FlagSpec row per flag it
+// reads; parsing, validation, environment fallbacks and the --help text all
+// come from that table, so every flag is declared exactly once.  Every
+// binary must run with no arguments (the defaults are the paper's); a flag
+// the table does not list, or a value its row does not admit, is rejected
+// rather than silently replaced by the default.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace ovp::util {
 
-class Flags {
- public:
-  /// Parses argv of the form --name=value or --name (boolean true).
-  /// Unrecognized positional arguments are an error (returns false), as is
-  /// any --ovprof-* flag outside the framework's documented set (a typo like
-  /// --ovprof-tracing would otherwise silently run without tracing).
-  [[nodiscard]] bool parse(int argc, char** argv);
+enum class FlagKind : std::uint8_t { Int, Double, String, Bool, Enum };
 
-  [[nodiscard]] std::int64_t getInt(std::string_view name,
-                                    std::int64_t fallback) const;
-  [[nodiscard]] double getDouble(std::string_view name, double fallback) const;
-  [[nodiscard]] std::string getString(std::string_view name,
-                                      std::string_view fallback) const;
-  [[nodiscard]] bool getBool(std::string_view name, bool fallback) const;
-  [[nodiscard]] bool has(std::string_view name) const;
-
- private:
-  std::map<std::string, std::string, std::less<>> values_;
+/// One flag a binary reads.  The string_view fields refer to string
+/// literals, which outlive every Flags.
+struct FlagSpec {
+  /// Name without the leading "--".
+  std::string_view name = {};
+  FlagKind kind = FlagKind::String;
+  /// One line for --help.
+  std::string_view help = {};
+  /// Default value as text; empty means unset (getters return 0/""/false).
+  std::string def = {};
+  /// Enum: the admitted values, '|'-separated.  String: the value's name
+  /// in --help (default "TEXT").
+  std::string_view choices = {};
+  /// Int: the inclusive admitted range.
+  std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  /// Environment variable read when the flag is absent; empty for none.
+  std::string_view env = {};
+  /// Value of a bare --name.  Bool rows always take "true"; other rows
+  /// without one need an explicit value.
+  std::string_view bare = {};
 };
 
-/// Standard switch for the analysis layer: true when --ovprof-verify[=1]
-/// was passed, or the OVPROF_VERIFY environment variable is set non-empty
-/// (and not "0").  Lets any example/bench binary enable the StreamVerifier
-/// and UsageChecker without recompiling.
-[[nodiscard]] bool verifyRequested(const Flags& flags);
+/// Row builders for a binary's own flags.  Defaults are text, like
+/// FlagSpec::def; `meta` names a String value in --help.
+[[nodiscard]] inline FlagSpec intFlag(
+    std::string_view name, std::string def, std::string_view help,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
+  return {name, FlagKind::Int, help, std::move(def), {}, min, max};
+}
+[[nodiscard]] inline FlagSpec doubleFlag(std::string_view name,
+                                         std::string def,
+                                         std::string_view help) {
+  return {name, FlagKind::Double, help, std::move(def)};
+}
+[[nodiscard]] inline FlagSpec boolFlag(std::string_view name,
+                                       std::string_view help,
+                                       std::string def = {}) {
+  return {name, FlagKind::Bool, help, std::move(def)};
+}
+[[nodiscard]] inline FlagSpec stringFlag(std::string_view name,
+                                         std::string_view meta,
+                                         std::string_view help,
+                                         std::string def = {}) {
+  return {name, FlagKind::String, help, std::move(def), meta};
+}
+[[nodiscard]] inline FlagSpec enumFlag(std::string_view name,
+                                       std::string_view choices,
+                                       std::string def,
+                                       std::string_view help) {
+  return {name, FlagKind::Enum, help, std::move(def), choices};
+}
 
-/// Standard switch for fabric fault injection: returns the spec string from
-/// --ovprof-fault=<spec>, or from the OVPROF_FAULT environment variable when
-/// the flag is absent; empty string when neither is set.  The spec grammar
-/// is net::FaultModel::parse's ("drop=0.05,jitter=2000,seed=7", a bare
-/// number meaning drop=<number>).
-[[nodiscard]] std::string faultSpecRequested(const Flags& flags);
+/// The row of one framework-wide --ovprof-* flag, by name.  Binaries list
+/// the framework flags they read through this, so the rows live in one
+/// table in flags.cpp.
+[[nodiscard]] FlagSpec frameworkFlag(std::string_view name);
 
-/// Standard switch for always-on tracing: the output path from
-/// --ovprof-trace=FILE, or from the OVPROF_TRACE environment variable when
-/// the flag is absent; empty string when neither is set.  The binary writes
-/// a Chrome trace-event JSON to FILE and a lossless CSV to FILE.csv.
-[[nodiscard]] std::string traceSpecRequested(const Flags& flags);
+class Flags {
+ public:
+  /// `usage` heads the --help text: a "usage:" line and a short
+  /// description.  The flag list below it is generated from `rows`.
+  Flags(std::string usage, std::vector<FlagSpec> rows);
 
-/// Standard switch for the offline lint passes: true when --ovprof-lint[=1]
-/// was passed, or the OVPROF_LINT environment variable is set non-empty (and
-/// not "0").  The binary runs analysis::runLint over the collected trace
-/// after the run and exits nonzero on Warning/Error findings.
-[[nodiscard]] bool lintRequested(const Flags& flags);
+  /// Parses argv[1..argc).  On -h/--help prints help() to stdout and exits
+  /// 0; on a rejected argument prints the reason and help() to stderr and
+  /// exits 2.
+  void parse(int argc, char** argv);
 
-/// Optional JSON sink for lint findings: the path from
-/// --ovprof-lint-json=FILE, or from the OVPROF_LINT_JSON environment
-/// variable when the flag is absent; empty string when neither is set.
-[[nodiscard]] std::string lintJsonPathRequested(const Flags& flags);
+  /// parse()'s checks without exiting: returns why an argument or an
+  /// environment fallback was rejected, or an empty string.  Rejected are
+  /// positional arguments, flags no row lists, values that do not parse as
+  /// the row's kind, integers outside the row's range and enum values
+  /// outside its choices.
+  [[nodiscard]] std::string tryParse(int argc, char** argv);
+  [[nodiscard]] bool helpAsked() const { return help_; }
 
-/// Optional JSON sink for ovprof_check findings: the path from
-/// --ovprof-check-json=FILE, or from the OVPROF_CHECK_JSON environment
-/// variable when the flag is absent; empty string when neither is set.
-[[nodiscard]] std::string checkJsonPathRequested(const Flags& flags);
+  /// Typed values: the command line's, else the environment's, else the
+  /// row's default.  Naming a flag the table does not list aborts.
+  [[nodiscard]] std::int64_t getInt(std::string_view name) const;
+  [[nodiscard]] double getDouble(std::string_view name) const;
+  [[nodiscard]] std::string getString(std::string_view name) const;
+  [[nodiscard]] bool getBool(std::string_view name) const;
+  /// Enum rows: the value's position in the row's choices.
+  [[nodiscard]] int getChoice(std::string_view name) const;
+  /// True when the flag came from the command line or its environment
+  /// variable.
+  [[nodiscard]] bool has(std::string_view name) const;
 
-/// Model-sample sink: the path from --ovprof-model=FILE, or from the
-/// OVPROF_MODEL environment variable when the flag is absent; empty string
-/// when neither is set.  The binary saves a model::RunSample (the merged
-/// job report plus sweep metadata) to FILE after the run, for ovprof_model.
-[[nodiscard]] std::string modelSamplePathRequested(const Flags& flags);
+  /// The usage head followed by one generated line per row.
+  [[nodiscard]] std::string help() const;
 
-/// Sweep parameter recorded in the model sample: the value from
-/// --ovprof-model-param=X, or from the OVPROF_MODEL_PARAM environment
-/// variable when the flag is absent; 0.0 when neither is set (the sample
-/// then defaults to mean bytes per transfer).
-[[nodiscard]] double modelParamRequested(const Flags& flags);
+ private:
+  struct Slot {
+    FlagSpec spec;
+    std::string value;
+    bool given = false;
+  };
+  [[nodiscard]] const Slot& slot(std::string_view name) const;
+  [[nodiscard]] Slot* find(std::string_view name);
 
-/// Multi-VCI fabric spec: the string from --ovprof-vci=N[,policy], or from
-/// the OVPROF_VCI environment variable when the flag is absent; empty when
-/// neither is set.  The grammar is net::VciParams::parse's ("2",
-/// "4,round-robin"); a bare --ovprof-vci means "2".
-[[nodiscard]] std::string vciSpecRequested(const Flags& flags);
-
-/// Physical rails per node port: the value from --ovprof-vci-rails=R, or
-/// from the OVPROF_VCI_RAILS environment variable when the flag is absent;
-/// 1 when neither is set (single-rail timing, identical to the historical
-/// fabric for any channel count).
-[[nodiscard]] int vciRailsRequested(const Flags& flags);
-
-/// Engine worker-thread count: the value from --ovprof-workers=N, or from
-/// the OVPROF_WORKERS environment variable when the flag is absent; 1 when
-/// neither is set.  Parallel runs are bit-identical to sequential ones, so
-/// this only trades host time for threads.
-[[nodiscard]] int workersRequested(const Flags& flags);
-
-/// True when --help (or -h as the sole positional-looking argument) was
-/// passed.  parse() accepts "-h" specially for this.
-[[nodiscard]] bool helpRequested(const Flags& flags);
-
-/// One paragraph describing the framework-wide --ovprof-* flags, for the
-/// --help text of any bench/example binary.
-[[nodiscard]] const char* ovprofHelpText();
+  std::string usage_;
+  std::vector<Slot> slots_;
+  bool help_ = false;
+};
 
 }  // namespace ovp::util

@@ -28,6 +28,11 @@ class TextTable {
   /// Comma-separated rendering (no alignment, header row first).
   void printCsv(std::ostream& os) const;
 
+  /// printCsv() when `csv`, else print() — a driver's --csv switch.
+  void print(std::ostream& os, bool csv) const {
+    csv ? printCsv(os) : print(os);
+  }
+
   [[nodiscard]] std::size_t rowCount() const { return rows_.size(); }
 
  private:

@@ -572,43 +572,63 @@ TEST(LintNas, ArmciMgTraceHasNoFindings) {
 
 // ------------------------------------------------------------------ flags
 
+util::Flags lintFlags() {
+  return util::Flags("usage: prog\n",
+                     {util::frameworkFlag("ovprof-lint"),
+                      util::frameworkFlag("ovprof-lint-json")});
+}
+
+std::string parseArgs(util::Flags& flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags.tryParse(static_cast<int>(args.size()),
+                        const_cast<char**>(args.data()));
+}
+
 TEST(LintFlags, KnownFlagsParseAndUnknownAreRejected) {
   {
-    const char* argv[] = {"prog", "--ovprof-lint",
-                          "--ovprof-lint-json=out.json"};
-    util::Flags flags;
-    ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
-    EXPECT_TRUE(util::lintRequested(flags));
-    EXPECT_EQ(util::lintJsonPathRequested(flags), "out.json");
+    util::Flags flags = lintFlags();
+    ASSERT_EQ(
+        parseArgs(flags, {"--ovprof-lint", "--ovprof-lint-json=out.json"}),
+        "");
+    EXPECT_TRUE(flags.getBool("ovprof-lint"));
+    EXPECT_EQ(flags.getString("ovprof-lint-json"), "out.json");
   }
   {
-    const char* argv[] = {"prog", "--ovprof-lint-json"};
-    util::Flags flags;
-    ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-    EXPECT_EQ(util::lintJsonPathRequested(flags), "ovprof-lint.json");
+    util::Flags flags = lintFlags();
+    ASSERT_EQ(parseArgs(flags, {"--ovprof-lint-json"}), "");
+    EXPECT_EQ(flags.getString("ovprof-lint-json"), "ovprof-lint.json");
   }
-  {
-    const char* argv[] = {"prog", "--ovprof-lint-jsn=typo.json"};
-    util::Flags flags;
-    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
-  }
-  {
-    const char* argv[] = {"prog", "--ovprof-litn"};
-    util::Flags flags;
-    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+  for (const char* typo : {"--ovprof-lint-jsn=typo.json", "--ovprof-litn"}) {
+    util::Flags flags = lintFlags();
+    EXPECT_NE(parseArgs(flags, {typo}), "") << typo;
   }
 }
 
 TEST(LintFlags, EnvironmentFallbacks) {
-  util::Flags flags;
-  ASSERT_TRUE(flags.parse(0, nullptr));
-  EXPECT_FALSE(util::lintRequested(flags));
+  {
+    util::Flags flags = lintFlags();
+    ASSERT_EQ(parseArgs(flags, {}), "");
+    EXPECT_FALSE(flags.getBool("ovprof-lint"));
+  }
   ::setenv("OVPROF_LINT", "1", 1);
   ::setenv("OVPROF_LINT_JSON", "/tmp/lint.json", 1);
-  EXPECT_TRUE(util::lintRequested(flags));
-  EXPECT_EQ(util::lintJsonPathRequested(flags), "/tmp/lint.json");
+  {
+    util::Flags flags = lintFlags();
+    ASSERT_EQ(parseArgs(flags, {}), "");
+    EXPECT_TRUE(flags.getBool("ovprof-lint"));
+    EXPECT_EQ(flags.getString("ovprof-lint-json"), "/tmp/lint.json");
+  }
   ::setenv("OVPROF_LINT", "0", 1);
-  EXPECT_FALSE(util::lintRequested(flags));
+  {
+    util::Flags flags = lintFlags();
+    ASSERT_EQ(parseArgs(flags, {}), "");
+    EXPECT_FALSE(flags.getBool("ovprof-lint"));
+  }
+  ::setenv("OVPROF_LINT", "maybe", 1);
+  {
+    util::Flags flags = lintFlags();
+    EXPECT_NE(parseArgs(flags, {}), "");
+  }
   ::unsetenv("OVPROF_LINT");
   ::unsetenv("OVPROF_LINT_JSON");
 }

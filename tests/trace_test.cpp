@@ -393,6 +393,32 @@ TEST(TraceReader, RejectsRanksOutsideTheTrace) {
   EXPECT_EQ(r.collector->endTime(1), 5);
 }
 
+TEST(TraceReader, RejectsRankCountsAboveTheLimit) {
+  const std::string header =
+      "rank,seq,time_ns,kind,id,peer,tag,bytes,aux,addr,name\n";
+  auto load = [](const std::string& csv) {
+    std::istringstream is(csv);
+    return trace::readCsv(is);
+  };
+  const std::string limit = std::to_string(trace::kMaxTraceRanks);
+  trace::ReadResult r = load("# ranks,2000000000\n" + header);
+  EXPECT_EQ(r.collector, nullptr);
+  EXPECT_EQ(r.error, "line 1: # ranks 2000000000 above the limit " + limit);
+  // Without "# ranks" the limit bounds row and end-time ranks, and a rank
+  // too large for Rank is named as written, not truncated.
+  r = load(header + "0,0,1,CALL_ENTER,0,-1,0,0,0,-1,\n" +
+           "99999999,0,2,CALL_EXIT,0,-1,0,0,0,-1,\n");
+  EXPECT_EQ(r.error, "line 3: rank 99999999 out of range [0, " + limit + ")");
+  r = load("# end_time,5000000000,7\n" + header);
+  EXPECT_EQ(r.error,
+            "line 1: rank 5000000000 out of range [0, " + limit + ")");
+  // The largest admitted rank loads.
+  r = load(header + std::to_string(trace::kMaxTraceRanks - 1) +
+           ",0,1,CALL_ENTER,0,-1,0,0,0,-1,\n");
+  ASSERT_NE(r.collector, nullptr) << r.error;
+  EXPECT_EQ(r.collector->nranks(), trace::kMaxTraceRanks);
+}
+
 TEST(TraceExport, RerunsAreBitIdentical) {
   auto once = [] {
     mpi::Machine machine(tracedConfig());
@@ -510,42 +536,63 @@ TEST(TraceCriticalPath, LateSenderIsDetectedAndBlamed) {
 
 // ------------------------------------------------------------------ flags
 
+util::Flags traceFlags() {
+  return util::Flags("usage: prog\n",
+                     {util::frameworkFlag("ovprof-trace"),
+                      util::frameworkFlag("ovprof-trace-capacity"),
+                      util::frameworkFlag("ovprof-trace-window"),
+                      util::frameworkFlag("ovprof-verify"),
+                      util::frameworkFlag("ovprof-fault")});
+}
+
+std::string parseArgs(util::Flags& flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags.tryParse(static_cast<int>(args.size()),
+                        const_cast<char**>(args.data()));
+}
+
 TEST(TraceFlags, UnknownOvprofFlagIsRejected) {
-  const char* argv[] = {"prog", "--ovprof-tracee=/tmp/x.json"};
-  util::Flags flags;
-  EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+  util::Flags flags = traceFlags();
+  EXPECT_EQ(parseArgs(flags, {"--ovprof-tracee=/tmp/x.json"}),
+            "unknown flag --ovprof-tracee");
 }
 
 TEST(TraceFlags, KnownOvprofFlagsParse) {
-  const char* argv[] = {"prog", "--ovprof-trace=/tmp/x.json",
-                        "--ovprof-trace-capacity=1024",
-                        "--ovprof-trace-window=500000", "--ovprof-verify",
-                        "--ovprof-fault=drop=0.01"};
-  util::Flags flags;
-  ASSERT_TRUE(flags.parse(6, const_cast<char**>(argv)));
-  EXPECT_EQ(util::traceSpecRequested(flags), "/tmp/x.json");
-  EXPECT_EQ(flags.getInt("ovprof-trace-capacity", 0), 1024);
-  EXPECT_EQ(flags.getInt("ovprof-trace-window", 0), 500000);
-  EXPECT_TRUE(util::verifyRequested(flags));
-  EXPECT_EQ(util::faultSpecRequested(flags), "drop=0.01");
+  util::Flags flags = traceFlags();
+  ASSERT_EQ(parseArgs(flags, {"--ovprof-trace=/tmp/x.json",
+                              "--ovprof-trace-capacity=1024",
+                              "--ovprof-trace-window=500000",
+                              "--ovprof-verify", "--ovprof-fault=drop=0.01"}),
+            "");
+  EXPECT_EQ(flags.getString("ovprof-trace"), "/tmp/x.json");
+  EXPECT_EQ(flags.getInt("ovprof-trace-capacity"), 1024);
+  EXPECT_EQ(flags.getInt("ovprof-trace-window"), 500000);
+  EXPECT_TRUE(flags.getBool("ovprof-verify"));
+  EXPECT_EQ(flags.getString("ovprof-fault"), "drop=0.01");
+}
+
+TEST(TraceFlags, CapacityBelowOneOrNonIntegerIsRejected) {
+  for (const char* arg : {"--ovprof-trace-capacity=0",
+                          "--ovprof-trace-capacity=1e6",
+                          "--ovprof-trace-window=-5"}) {
+    util::Flags flags = traceFlags();
+    EXPECT_NE(parseArgs(flags, {arg}), "") << arg;
+  }
 }
 
 TEST(TraceFlags, BareTraceFlagGetsDefaultPath) {
-  const char* argv[] = {"prog", "--ovprof-trace"};
-  util::Flags flags;
-  ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-  EXPECT_EQ(util::traceSpecRequested(flags), "ovprof-trace.json");
+  util::Flags flags = traceFlags();
+  ASSERT_EQ(parseArgs(flags, {"--ovprof-trace"}), "");
+  EXPECT_EQ(flags.getString("ovprof-trace"), "ovprof-trace.json");
 }
 
 TEST(TraceFlags, HelpRequested) {
-  const char* argv[] = {"prog", "--help"};
-  util::Flags flags;
-  ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-  EXPECT_TRUE(util::helpRequested(flags));
-  const char* argv2[] = {"prog", "-h"};
-  util::Flags flags2;
-  ASSERT_TRUE(flags2.parse(2, const_cast<char**>(argv2)));
-  EXPECT_TRUE(util::helpRequested(flags2));
+  util::Flags flags = traceFlags();
+  ASSERT_EQ(parseArgs(flags, {"--help"}), "");
+  EXPECT_TRUE(flags.helpAsked());
+  util::Flags flags2 = traceFlags();
+  ASSERT_EQ(parseArgs(flags2, {"-h"}), "");
+  EXPECT_TRUE(flags2.helpAsked());
 }
 
 // -------------------------------------------------------------- lifecycle

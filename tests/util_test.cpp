@@ -4,6 +4,9 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/flags.hpp"
 #include "util/ring_buffer.hpp"
@@ -182,64 +185,158 @@ TEST(Rng, UniformInUnitInterval) {
   }
 }
 
+/// tryParse over {"prog", args...}.
+std::string parseArgs(Flags& f, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return f.tryParse(static_cast<int>(args.size()),
+                    const_cast<char**>(args.data()));
+}
+
+Flags testFlags() {
+  return Flags("usage: prog [flags]\n",
+               {{.name = "n", .kind = FlagKind::Int, .help = "a count",
+                 .def = "3", .min = 1, .max = 10},
+                {.name = "ratio", .kind = FlagKind::Double, .help = "a ratio"},
+                {.name = "verbose", .kind = FlagKind::Bool, .help = "talk"},
+                {.name = "name", .kind = FlagKind::String, .help = "a name"},
+                {.name = "match", .kind = FlagKind::Bool, .help = "match",
+                 .def = "true"},
+                {.name = "class", .kind = FlagKind::Enum, .help = "a class",
+                 .def = "S", .choices = "S|A|B"},
+                frameworkFlag("ovprof-workers")});
+}
+
 TEST(Flags, ParsesKeyValueAndBooleans) {
-  const char* argv[] = {"prog", "--n=5", "--ratio=0.5", "--verbose",
-                        "--name=test"};
-  Flags f;
-  ASSERT_TRUE(f.parse(5, const_cast<char**>(argv)));
-  EXPECT_EQ(f.getInt("n", 0), 5);
-  EXPECT_DOUBLE_EQ(f.getDouble("ratio", 0), 0.5);
-  EXPECT_TRUE(f.getBool("verbose", false));
-  EXPECT_EQ(f.getString("name", ""), "test");
-  EXPECT_EQ(f.getInt("missing", 17), 17);
+  Flags f = testFlags();
+  ASSERT_EQ(parseArgs(f, {"--n=5", "--ratio=0.5", "--verbose", "--name=test",
+                          "--match=no", "--class=B"}),
+            "");
+  EXPECT_EQ(f.getInt("n"), 5);
+  EXPECT_DOUBLE_EQ(f.getDouble("ratio"), 0.5);
+  EXPECT_TRUE(f.getBool("verbose"));
+  EXPECT_FALSE(f.getBool("match"));
+  EXPECT_EQ(f.getString("name"), "test");
+  EXPECT_EQ(f.getString("class"), "B");
+  EXPECT_EQ(f.getChoice("class"), 2);
   EXPECT_TRUE(f.has("n"));
-  EXPECT_FALSE(f.has("missing"));
+  EXPECT_FALSE(f.helpAsked());
+
+  // Absent flags read their row's default; has() tells them apart.
+  Flags g = testFlags();
+  ASSERT_EQ(parseArgs(g, {}), "");
+  EXPECT_EQ(g.getInt("n"), 3);
+  EXPECT_FALSE(g.has("n"));
+  EXPECT_TRUE(g.getBool("match"));
+  EXPECT_FALSE(g.getBool("verbose"));
+  EXPECT_EQ(g.getChoice("class"), 0);
 }
 
 TEST(Flags, RejectsPositionalArguments) {
-  const char* argv[] = {"prog", "oops"};
-  Flags f;
-  EXPECT_FALSE(f.parse(2, const_cast<char**>(argv)));
+  Flags f = testFlags();
+  EXPECT_EQ(parseArgs(f, {"oops"}), "unexpected argument 'oops'");
+}
+
+TEST(Flags, RejectsUnknownKeys) {
+  Flags f = testFlags();
+  EXPECT_EQ(parseArgs(f, {"--nn=5"}), "unknown flag --nn");
+  // A framework flag this table does not list is unknown too.
+  Flags g = testFlags();
+  EXPECT_EQ(parseArgs(g, {"--ovprof-trace=x.json"}),
+            "unknown flag --ovprof-trace");
+}
+
+TEST(Flags, RejectsBadValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--n=abc", "--n=abc: not an integer"},
+      {"--n=11", "--n=11: out of range 1..10"},
+      {"--n=0", "--n=0: out of range 1..10"},
+      {"--n", "--n needs a value (--n=N)"},
+      {"--ratio=x", "--ratio=x: not a number"},
+      {"--ratio=nan", "--ratio=nan: not a number"},
+      {"--class=Z", "--class=Z: want one of S|A|B"},
+      {"--match=maybe",
+       "--match=maybe: not a boolean (true|false|yes|no|1|0)"},
+      {"--ovprof-workers=0", "--ovprof-workers=0: out of range 1..64"},
+  };
+  for (const auto& [arg, why] : cases) {
+    Flags f = testFlags();
+    EXPECT_EQ(parseArgs(f, {arg}), why) << arg;
+  }
+}
+
+TEST(Flags, ChecksEnvironmentFallbacks) {
+  ::setenv("OVPROF_WORKERS", "abc", 1);
+  Flags f = testFlags();
+  EXPECT_EQ(parseArgs(f, {}),
+            "OVPROF_WORKERS=abc (for --ovprof-workers): not an integer");
+  // A command-line value wins without reading the environment.
+  Flags g = testFlags();
+  EXPECT_EQ(parseArgs(g, {"--ovprof-workers=2"}), "");
+  EXPECT_EQ(g.getInt("ovprof-workers"), 2);
+  ::setenv("OVPROF_WORKERS", "3", 1);
+  Flags h = testFlags();
+  ASSERT_EQ(parseArgs(h, {}), "");
+  EXPECT_EQ(h.getInt("ovprof-workers"), 3);
+  EXPECT_TRUE(h.has("ovprof-workers"));
+  ::unsetenv("OVPROF_WORKERS");
+}
+
+TEST(Flags, HelpRequestedAndHelpListsEveryRow) {
+  Flags f = testFlags();
+  ASSERT_EQ(parseArgs(f, {"-h"}), "");
+  EXPECT_TRUE(f.helpAsked());
+  const std::string help = f.help();
+  EXPECT_EQ(help.rfind("usage: prog [flags]\n", 0), 0u);
+  for (const char* row : {"--n=N", "--ratio=X", "--verbose[=BOOL]",
+                          "--name=TEXT", "--match[=BOOL]", "--class=S|A|B",
+                          "--ovprof-workers=N"}) {
+    EXPECT_NE(help.find(row), std::string::npos) << row;
+  }
+  EXPECT_NE(help.find("(1..10; default 3)"), std::string::npos) << help;
+  EXPECT_NE(help.find("OVPROF_WORKERS"), std::string::npos) << help;
+}
+
+Flags modelFlags() {
+  return Flags("usage: prog\n", {frameworkFlag("ovprof-model"),
+                                  frameworkFlag("ovprof-model-param")});
 }
 
 TEST(Flags, AcceptsModelFlagsAndRejectsTypos) {
   // The model flags are in the reserved --ovprof-* namespace and must be
-  // known to the shared parser; near-misses are rejected like any typo.
-  const char* good[] = {"prog", "--ovprof-model=run.sample",
-                        "--ovprof-model-param=4096"};
-  Flags f;
-  ASSERT_TRUE(f.parse(3, const_cast<char**>(good)));
-  EXPECT_EQ(modelSamplePathRequested(f), "run.sample");
-  EXPECT_DOUBLE_EQ(modelParamRequested(f), 4096.0);
+  // known to the shared table; near-misses are rejected like any typo.
+  Flags f = modelFlags();
+  ASSERT_EQ(parseArgs(f, {"--ovprof-model=run.sample",
+                          "--ovprof-model-param=4096"}),
+            "");
+  EXPECT_EQ(f.getString("ovprof-model"), "run.sample");
+  EXPECT_DOUBLE_EQ(f.getDouble("ovprof-model-param"), 4096.0);
 
-  const char* typo[] = {"prog", "--ovprof-model-foo=1"};
-  Flags g;
-  EXPECT_FALSE(g.parse(2, const_cast<char**>(typo)));
+  Flags g = modelFlags();
+  EXPECT_EQ(parseArgs(g, {"--ovprof-model-foo=1"}),
+            "unknown flag --ovprof-model-foo");
 }
 
 TEST(Flags, BareModelFlagGetsDefaultFilename) {
-  const char* argv[] = {"prog", "--ovprof-model"};
-  Flags f;
-  ASSERT_TRUE(f.parse(2, const_cast<char**>(argv)));
-  EXPECT_EQ(modelSamplePathRequested(f), "ovprof-model.sample");
+  Flags f = modelFlags();
+  ASSERT_EQ(parseArgs(f, {"--ovprof-model"}), "");
+  EXPECT_EQ(f.getString("ovprof-model"), "ovprof-model.sample");
 }
 
 TEST(Flags, ModelFlagsDefaultToUnset) {
-  Flags f;
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(f.parse(1, const_cast<char**>(argv)));
+  Flags f = modelFlags();
+  ASSERT_EQ(parseArgs(f, {}), "");
   // No flag and (in the test environment) no OVPROF_MODEL* env.
   if (std::getenv("OVPROF_MODEL") == nullptr) {
-    EXPECT_TRUE(modelSamplePathRequested(f).empty());
+    EXPECT_TRUE(f.getString("ovprof-model").empty());
   }
   if (std::getenv("OVPROF_MODEL_PARAM") == nullptr) {
-    EXPECT_DOUBLE_EQ(modelParamRequested(f), 0.0);
+    EXPECT_DOUBLE_EQ(f.getDouble("ovprof-model-param"), 0.0);
   }
 }
 
 TEST(Flags, HelpTextDocumentsEveryModelFlag) {
-  const std::string help = ovprofHelpText();
-  EXPECT_NE(help.find("--ovprof-model=FILE"), std::string::npos);
+  const std::string help = modelFlags().help();
+  EXPECT_NE(help.find("--ovprof-model[=FILE]"), std::string::npos);
   EXPECT_NE(help.find("--ovprof-model-param"), std::string::npos);
   EXPECT_NE(help.find("OVPROF_MODEL"), std::string::npos);
 }

@@ -30,20 +30,8 @@
 //     admissible rank counts at once, and closed-form per-site cost terms
 //     can be exported for ovprof_model (--emit-costs).
 //
-// Usage:
-//   ovprof_check SKELETON [SKELETON2 ...]
-//                [--class=S|A|B] [--procs=SPEC] [--iterations=N]
-//                [--variant=mpi|armci|armci-nb] [--ns-per-flop=X]
-//                [--match=0] [--deadlock=0] [--overlap=0] [--eager=BYTES]
-//                [--xfer-table=FILE] [--conform=TRACE.csv]
-//                [--write-skeleton=FILE] [--ovprof-check-json=FILE]
-//                [--symbolic] [--emit-costs=FILE]
-//
 // SKELETON is `nas:KERNEL` with KERNEL in {bt,cg,ep,ft,is,lu,mg,sp}, or the
 // path of a skeleton file previously written with --write-skeleton.
-// --procs=SPEC is a single count ("8"), a comma list ("2,4,6"), a range
-// ("8-64" = every count), or a pow2 range ("8-64:pow2"); multi-count specs
-// sweep the check and diff the findings.
 //
 // Exit code: 0 when every skeleton is clean (Notes allowed), 1 when any has
 // findings at Warning or above (including a failed symbolic proof), 2 on
@@ -67,64 +55,57 @@
 #include "skeleton/symbolic/verify.hpp"
 #include "tool_main.hpp"
 #include "trace/reader.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
 
 namespace {
 
-void printUsage() {
-  std::printf(
-      "usage: ovprof_check SKELETON [SKELETON2 ...]\n"
-      "                    [--class=S|A|B] [--procs=SPEC] [--iterations=N]\n"
-      "                    [--variant=mpi|armci|armci-nb] [--ns-per-flop=X]\n"
-      "                    [--match=0] [--deadlock=0] [--overlap=0]\n"
-      "                    [--eager=BYTES] [--xfer-table=FILE]\n"
-      "                    [--conform=TRACE.csv] [--write-skeleton=FILE]\n"
-      "                    [--ovprof-check-json=FILE]\n"
-      "                    [--symbolic] [--emit-costs=FILE]\n"
-      "\n"
-      "SKELETON is nas:KERNEL (kernel in {bt,cg,ep,ft,is,lu,mg,sp};\n"
-      "instantiated in-process from the kernel's symbolic template at\n"
-      "--class/--procs/--iterations/--variant) or the path of a skeleton\n"
-      "file written earlier with --write-skeleton.\n"
-      "\n"
-      "Statically analyzes the communication skeleton without running the\n"
-      "simulator: send/recv matching per (src, dst, tag) channel, blocking-\n"
-      "dependency deadlock search, and overlap-window pricing against the\n"
-      "a-priori transfer-time table from --xfer-table=FILE.  With\n"
-      "--conform=TRACE.csv, additionally verifies that the dynamic trace\n"
-      "embeds into the skeleton (every traced edge statically admissible).\n"
-      "\n"
-      "--procs=SPEC sweeps rank counts: a single count (\"8\"), a comma\n"
-      "list (\"2,4,6\"), a dense range (\"8-64\"), or a pow2 range\n"
-      "(\"8-64:pow2\").  Multi-count specs check every count and print a\n"
-      "findings diff across counts (nas: skeletons only).\n"
-      "\n"
-      "--symbolic proves matching and deadlock-freedom for ALL admissible\n"
-      "rank counts at once from the rank-symbolic template (every kernel;\n"
-      "structure outside the proof lemmas is reported unproven and swept\n"
-      "for concrete deadlock witnesses).  --emit-costs=FILE exports\n"
-      "closed-form per-site cost terms (ovprof-symskel-v1, read by\n"
-      "`ovprof_model costs`).\n"
-      "\n"
+util::Flags checkFlags() {
+  return util::Flags(
+      "usage: ovprof_check SKELETON [SKELETON2 ...] [flags]\n"
+      "Statically checks communication skeletons without running the\n"
+      "simulator: send/recv matching, deadlock search and overlap-window\n"
+      "pricing.  SKELETON is nas:KERNEL (bt|cg|ep|ft|is|lu|mg|sp, built\n"
+      "from its symbolic template) or a file written by --write-skeleton.\n"
       "Exit code: 0 clean, 1 findings at warning or above (failed proofs\n"
-      "included), 2 tool error (unknown kernel, rank count outside the\n"
-      "kernel's family, unreadable file, bad flags or --procs spec).\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
+      "included), 2 tool error.\n",
+      {// class lists its choices in nas::Class order (getChoice).
+       util::enumFlag("class", "S|A|B", "S", "problem class"),
+       util::stringFlag("procs", "SPEC",
+                        "rank count: 8, a list 2,4,6, a range 8-64 or "
+                        "8-64:pow2; several counts sweep nas: skeletons and "
+                        "diff the findings"),
+       util::intFlag("iterations", "0",
+                     "outer iterations, 0 for the class default", 0, 1000000),
+       util::enumFlag("variant", "mpi|armci|armci-nb", "",
+                      "MG only: communication variant (default armci-nb)"),
+       util::doubleFlag("ns-per-flop", "0.5",
+                        "compute pricing for the overlap-window analysis"),
+       util::boolFlag("match", "run the matching pass", "true"),
+       util::boolFlag("deadlock", "run the deadlock search", "true"),
+       util::boolFlag("overlap", "run the overlap-window pass", "true"),
+       util::intFlag("eager", "16384",
+                     "eager limit in bytes for the deadlock search", 0),
+       util::stringFlag("xfer-table", "FILE",
+                        "a-priori transfer-time table (default: analytic)"),
+       util::stringFlag("conform", "TRACE.csv",
+                        "also check that this trace embeds into the skeleton"),
+       util::stringFlag("write-skeleton", "FILE",
+                        "save the instantiated skeleton to FILE"),
+       util::boolFlag("symbolic",
+                      "prove the rank-symbolic template for every rank count"),
+       util::stringFlag("emit-costs", "FILE",
+                        "with --symbolic, export closed-form cost terms (- "
+                        "for stdout)"),
+       util::frameworkFlag("ovprof-check-json")});
 }
 
 nas::SkeletonParams paramsFromFlags(const util::Flags& flags) {
   nas::SkeletonParams params;
-  const std::string cls = flags.getString("class", "S");
-  params.cls = cls == "A" ? nas::Class::A
-                          : (cls == "B" ? nas::Class::B : nas::Class::S);
-  params.iterations =
-      static_cast<int>(flags.getInt("iterations", params.iterations));
-  params.variant = flags.getString("variant", "");
-  params.cost.ns_per_flop =
-      flags.getDouble("ns-per-flop", params.cost.ns_per_flop);
+  params.cls = static_cast<nas::Class>(flags.getChoice("class"));
+  params.iterations = static_cast<int>(flags.getInt("iterations"));
+  params.variant = flags.getString("variant");
+  params.cost.ns_per_flop = flags.getDouble("ns-per-flop");
   return params;
 }
 
@@ -189,7 +170,7 @@ int runSymbolic(const std::string& input, const util::Flags& flags) {
               static_cast<long long>(sym.skeleton.totalNodes()));
   skel::sym::printSymVerifyText(verified, std::cout);
 
-  const std::string costs_path = flags.getString("emit-costs", "");
+  const std::string costs_path = flags.getString("emit-costs");
   if (!costs_path.empty()) {
     const skel::sym::SymCostReport costs =
         skel::sym::extractCosts(sym.skeleton);
@@ -209,7 +190,7 @@ int runSymbolic(const std::string& input, const util::Flags& flags) {
     }
   }
 
-  const std::string json_path = util::checkJsonPathRequested(flags);
+  const std::string json_path = flags.getString("ovprof-check-json");
   if (!json_path.empty()) {
     std::ofstream os(json_path, std::ios::binary);
     if (!os) {
@@ -319,28 +300,22 @@ int runSweep(const std::string& input, const util::Flags& flags,
 
 int main(int argc, char** argv) {
   // Positional arguments are the skeletons (nas:KERNEL or file paths).
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
-  }
+  const tool::CommandLine cl = tool::parseCommandLine(argc, argv, checkFlags());
   const util::Flags& flags = cl.flags;
   const std::vector<std::string>& inputs = cl.positional;
 
   std::vector<int> sweep;
   {
     std::string error;
-    if (!tool::parseProcsSpec(flags.getString("procs", ""), sweep,
-                              error)) {
+    if (!tool::parseProcsSpec(flags.getString("procs"), sweep, error)) {
       std::fprintf(stderr, "ovprof_check: --procs: %s\n", error.c_str());
       return 2;
     }
   }
 
-  if (flags.getBool("symbolic", false)) {
-    const std::string json_path = util::checkJsonPathRequested(flags);
-    const std::string costs_path = flags.getString("emit-costs", "");
+  if (flags.getBool("symbolic")) {
+    const std::string json_path = flags.getString("ovprof-check-json");
+    const std::string costs_path = flags.getString("emit-costs");
     if (inputs.size() > 1 && (!json_path.empty() || !costs_path.empty())) {
       std::fprintf(stderr,
                    "ovprof_check: --emit-costs/--ovprof-check-json accept "
@@ -358,12 +333,11 @@ int main(int argc, char** argv) {
   }
 
   skel::CheckConfig cfg;
-  cfg.match = flags.getBool("match", true);
-  cfg.deadlock = flags.getBool("deadlock", true);
-  cfg.overlap = flags.getBool("overlap", true);
-  cfg.deadlock_cfg.eager_limit =
-      flags.getInt("eager", cfg.deadlock_cfg.eager_limit);
-  const std::string table_path = flags.getString("xfer-table", "");
+  cfg.match = flags.getBool("match");
+  cfg.deadlock = flags.getBool("deadlock");
+  cfg.overlap = flags.getBool("overlap");
+  cfg.deadlock_cfg.eager_limit = flags.getInt("eager");
+  const std::string table_path = flags.getString("xfer-table");
   if (!table_path.empty() && !cfg.table.loadFile(table_path)) {
     std::fprintf(stderr, "ovprof_check: cannot load xfer table %s\n",
                  table_path.c_str());
@@ -371,9 +345,9 @@ int main(int argc, char** argv) {
   }
 
   // Flags that name a single output or trace pair with a single skeleton.
-  const std::string json_path = util::checkJsonPathRequested(flags);
-  const std::string conform_path = flags.getString("conform", "");
-  const std::string write_path = flags.getString("write-skeleton", "");
+  const std::string json_path = flags.getString("ovprof-check-json");
+  const std::string conform_path = flags.getString("conform");
+  const std::string write_path = flags.getString("write-skeleton");
   if (inputs.size() > 1 &&
       (!json_path.empty() || !conform_path.empty() || !write_path.empty())) {
     std::fprintf(stderr,

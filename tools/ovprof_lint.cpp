@@ -11,11 +11,6 @@
 //   * overlap advice — serialized transfers, early waits and late waits,
 //     each with the recoverable overlap estimated from xfer_time(size).
 //
-// Usage:
-//   ovprof_lint TRACE.csv [TRACE2.csv ...]
-//               [--ovprof-lint-json=FILE] [--races=0] [--deadlock=0]
-//               [--advisor=0]
-//
 // Exit code: 0 when every trace is clean (Notes allowed), 1 when any trace
 // has findings at Warning or above, 2 on tool errors (unreadable trace, bad
 // flags).  Output is deterministic: the same trace bytes always produce the
@@ -30,46 +25,34 @@
 #include "analysis/lint.hpp"
 #include "tool_main.hpp"
 #include "trace/reader.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
 
-namespace {
-
-void printUsage() {
-  std::printf(
-      "usage: ovprof_lint TRACE.csv [TRACE2.csv ...]\n"
-      "                   [--ovprof-lint-json=FILE] [--races=0]\n"
-      "                   [--deadlock=0] [--advisor=0]\n"
-      "\n"
-      "Lints ovprof trace CSVs (written by any traced run via\n"
-      "--ovprof-trace=FILE, as FILE.csv): RMA race detection via\n"
-      "happens-before, wait-for deadlock/stall analysis, and overlap\n"
-      "advice ranked by estimated recoverable overlap.\n"
-      "Exit code: 0 clean, 1 findings at warning or above, 2 tool error.\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   // Positional arguments are the trace files.
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
-  }
+  const tool::CommandLine cl = tool::parseCommandLine(
+      argc, argv,
+      util::Flags(
+          "usage: ovprof_lint TRACE.csv [TRACE2.csv ...] [flags]\n"
+          "Lints trace CSVs written by --ovprof-trace runs: RMA races,\n"
+          "wait-for deadlocks and stalls, and ranked overlap advice.\n"
+          "Exit code: 0 clean, 1 findings at warning or above, 2 tool "
+          "error.\n",
+          {util::boolFlag("races", "run the RMA race detector", "true"),
+           util::boolFlag("deadlock",
+                          "run the wait-for deadlock and stall analysis",
+                          "true"),
+           util::boolFlag("advisor", "run the overlap advisor", "true"),
+           util::frameworkFlag("ovprof-lint-json")}));
   const util::Flags& flags = cl.flags;
   const std::vector<std::string>& inputs = cl.positional;
 
   analysis::LintConfig cfg;
-  cfg.races = flags.getBool("races", true);
-  cfg.deadlock = flags.getBool("deadlock", true);
-  cfg.advisor = flags.getBool("advisor", true);
+  cfg.races = flags.getBool("races");
+  cfg.deadlock = flags.getBool("deadlock");
+  cfg.advisor = flags.getBool("advisor");
 
-  const std::string json_path = util::lintJsonPathRequested(flags);
+  const std::string json_path = flags.getString("ovprof-lint-json");
   if (!json_path.empty() && inputs.size() > 1) {
     std::fprintf(stderr,
                  "--ovprof-lint-json accepts exactly one input trace\n");

@@ -39,44 +39,48 @@
 #include "model/sample.hpp"
 #include "tool_main.hpp"
 #include "trace/reader.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
 
 namespace {
 
-void printUsage() {
-  std::printf(
-      "usage: ovprof_model fit SAMPLE... [--out=FILE]\n"
-      "       ovprof_model predict SAMPLE... --at=X [--out=FILE]\n"
-      "       ovprof_model eval SAMPLE... --heldout=SAMPLE [--out=FILE]\n"
-      "                    [--mean-xfer-tol=0.35] [--bounds-tol=40]\n"
-      "       ovprof_model whatif TRACE.csv [--xfer-scale=S]\n"
-      "                    [--bandwidth-scale=B] [--latency-delta=NS]\n"
-      "                    [--window=NS] [--out=FILE]\n"
-      "       ovprof_model costs SYMSKEL [--procs=SPEC] [--out=FILE]\n"
-      "\n"
-      "Fits Extra-P-style performance models (c + a*n^i*log2(n)^j) across a\n"
-      "sweep of model samples (written by --ovprof-model=FILE runs), predicts\n"
-      "metrics at unmeasured sweep parameters with residual-based confidence\n"
-      "bands, gates predictions against a held-out run, and replays a\n"
-      "recorded trace under scaled latency/bandwidth for what-if overlap\n"
-      "bounds.  All output is deterministic JSON.\n"
-      "\n"
-      "costs loads a closed-form pattern-cost table exported by\n"
-      "`ovprof_check --symbolic --emit-costs=FILE` (ovprof-symskel-v1) and\n"
-      "evaluates every site's message/byte/flop/window terms at the rank\n"
-      "counts of --procs=SPEC (\"8\", \"2,4,6\", \"8-64:pow2\"; default\n"
-      "1-64:pow2), screening counts against the skeleton's admissibility\n"
-      "family.\n"
-      "Exit code: 0 success, 1 eval gate miss, 2 tool error.\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
+util::Flags modelFlags() {
+  return util::Flags(
+      "usage: ovprof_model fit|predict|eval SAMPLE... [flags]\n"
+      "       ovprof_model whatif TRACE.csv [flags]\n"
+      "       ovprof_model costs SYMSKEL [flags]\n"
+      "Fits Extra-P-style models (c + a*n^i*log2(n)^j) across model samples\n"
+      "(written by --ovprof-model runs), predicts at unmeasured parameters,\n"
+      "gates a held-out run, replays a trace under scaled latency and\n"
+      "bandwidth (whatif) and evaluates ovprof_check --emit-costs tables\n"
+      "(costs).  All output is deterministic JSON.\n"
+      "Exit code: 0 success, 1 eval gate miss, 2 tool error.\n",
+      {util::stringFlag("out", "FILE",
+                        "write the JSON to FILE (default stdout)"),
+       util::doubleFlag("at", "",
+                        "predict: sweep parameter to predict at (required)"),
+       util::stringFlag("heldout", "SAMPLE",
+                        "eval: held-out sample to gate against (required)"),
+       util::doubleFlag("mean-xfer-tol", "0.35",
+                        "eval: relative tolerance on mean transfer time"),
+       util::doubleFlag("bounds-tol", "40",
+                        "eval: tolerance on min/max overlap, in points"),
+       util::doubleFlag("xfer-scale", "1",
+                        "whatif: multiply every transfer time, >= 0"),
+       util::doubleFlag("bandwidth-scale", "1",
+                        "whatif: divide every transfer time, > 0"),
+       util::intFlag("latency-delta", "0",
+                     "whatif: add NS to every transfer time"),
+       util::intFlag("window", "1000000",
+                     "whatif: analysis window in virtual ns", 1),
+       util::stringFlag("procs", "SPEC",
+                        "costs: rank counts, e.g. 8, 2,4,6 or 8-64:pow2",
+                        "1-64:pow2")});
 }
 
 /// Opens --out=FILE or falls back to stdout.
 std::ostream* openOut(const util::Flags& flags, std::ofstream& file) {
-  return tool::openOutput("ovprof_model", flags.getString("out", ""), file);
+  return tool::openOutput("ovprof_model", flags.getString("out"), file);
 }
 
 bool loadSweep(const std::vector<std::string>& paths, model::SampleSet& set) {
@@ -117,7 +121,7 @@ int cmdPredict(const std::vector<std::string>& inputs,
     std::fprintf(stderr, "ovprof_model predict: --at=X is required\n");
     return 2;
   }
-  const double at = flags.getDouble("at", 0.0);
+  const double at = flags.getDouble("at");
   model::SampleSet set;
   if (!loadSweep(inputs, set)) return 2;
   const model::ModelSet models = model::fitSamples(std::move(set));
@@ -145,7 +149,7 @@ int cmdPredict(const std::vector<std::string>& inputs,
 }
 
 int cmdEval(const std::vector<std::string>& inputs, const util::Flags& flags) {
-  const std::string heldout_path = flags.getString("heldout", "");
+  const std::string heldout_path = flags.getString("heldout");
   if (heldout_path.empty()) {
     std::fprintf(stderr, "ovprof_model eval: --heldout=SAMPLE is required\n");
     return 2;
@@ -160,8 +164,8 @@ int cmdEval(const std::vector<std::string>& inputs, const util::Flags& flags) {
   if (!loadSweep(inputs, set)) return 2;
   const model::ModelSet models = model::fitSamples(std::move(set));
   model::EvalGate gate;
-  gate.mean_xfer_rel_tol = flags.getDouble("mean-xfer-tol", gate.mean_xfer_rel_tol);
-  gate.bounds_abs_tol_pct = flags.getDouble("bounds-tol", gate.bounds_abs_tol_pct);
+  gate.mean_xfer_rel_tol = flags.getDouble("mean-xfer-tol");
+  gate.bounds_abs_tol_pct = flags.getDouble("bounds-tol");
   const model::EvalResult result = model::evalHeldOut(models, heldout, gate);
   if (!result.error.empty()) {
     std::fprintf(stderr, "ovprof_model: %s\n", result.error.c_str());
@@ -222,13 +226,14 @@ int cmdWhatIf(const std::vector<std::string>& inputs,
     return 2;
   }
   model::WhatIfConfig cfg;
-  cfg.xfer_scale = flags.getDouble("xfer-scale", cfg.xfer_scale);
-  cfg.bandwidth_scale = flags.getDouble("bandwidth-scale", cfg.bandwidth_scale);
-  cfg.latency_delta = flags.getInt("latency-delta", cfg.latency_delta);
-  cfg.window_ns = flags.getInt("window", cfg.window_ns);
-  if (cfg.xfer_scale < 0.0 || cfg.bandwidth_scale <= 0.0 ||
-      cfg.window_ns <= 0) {
-    std::fprintf(stderr, "ovprof_model whatif: bad scenario parameters\n");
+  cfg.xfer_scale = flags.getDouble("xfer-scale");
+  cfg.bandwidth_scale = flags.getDouble("bandwidth-scale");
+  cfg.latency_delta = flags.getInt("latency-delta");
+  cfg.window_ns = flags.getInt("window");
+  if (cfg.xfer_scale < 0.0 || cfg.bandwidth_scale <= 0.0) {
+    std::fprintf(stderr,
+                 "ovprof_model whatif: want --xfer-scale >= 0 and "
+                 "--bandwidth-scale > 0\n");
     return 2;
   }
   const model::WhatIfResult result = model::whatIf(*loaded.collector, cfg);
@@ -263,8 +268,7 @@ int cmdCosts(const std::vector<std::string>& inputs,
     return 2;
   }
   std::vector<int> procs;
-  if (!tool::parseProcsSpec(flags.getString("procs", "1-64:pow2"), procs,
-                            error)) {
+  if (!tool::parseProcsSpec(flags.getString("procs"), procs, error)) {
     std::fprintf(stderr, "ovprof_model costs: --procs: %s\n", error.c_str());
     return 2;
   }
@@ -285,12 +289,7 @@ int cmdCosts(const std::vector<std::string>& inputs,
 
 int main(int argc, char** argv) {
   // Positional arguments are the subcommand then its inputs.
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
-  }
+  const tool::CommandLine cl = tool::parseCommandLine(argc, argv, modelFlags());
   const util::Flags& flags = cl.flags;
   const std::string subcommand = cl.positional.front();
   const std::vector<std::string> inputs(cl.positional.begin() + 1,

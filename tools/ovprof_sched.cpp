@@ -7,13 +7,6 @@
 // the interference metrics (slowdown vs solo baseline, fabric-contention
 // share, overlap delta under co-location).
 //
-//   ovprof_sched WORKLOAD [--nodes=8] [--ranks-per-node=4]
-//                [--policy=backfill|fifo] [--shared-nodes] [--no-baselines]
-//                [--agg=FILE] [--json=FILE] [--spill=PREFIX]
-//                [--shard-jobs=64] [--launch-log=FILE]
-//                [--write-workload=FILE] [--rss-budget-mb=MB]
-//                [--ovprof-workers=N]
-//
 // WORKLOAD is either a workload file (`job <id> <kernel> <class> <nranks>
 // <arrival_ns> <priority> <estimate_ns>` lines) or `synth:NJOBS[:SEED
 // [:MAXRANKS]]` for the deterministic generator (MAXRANKS defaults to the
@@ -43,36 +36,45 @@
 #include "cluster/scheduler.hpp"
 #include "cluster/workload.hpp"
 #include "tool_main.hpp"
-#include "util/flags.hpp"
 
 using namespace ovp;
 
 namespace {
 
-void printUsage() {
-  std::printf(
-      "usage: ovprof_sched WORKLOAD [--nodes=8] [--ranks-per-node=4]\n"
-      "                    [--policy=backfill|fifo] [--shared-nodes]\n"
-      "                    [--no-baselines] [--agg=FILE] [--json=FILE]\n"
-      "                    [--spill=PREFIX] [--shard-jobs=64]\n"
-      "                    [--launch-log=FILE] [--write-workload=FILE]\n"
-      "                    [--rss-budget-mb=MB]\n"
-      "\n"
-      "Runs a multi-job workload through the cluster scheduler on one shared\n"
-      "simulated fabric and streams per-job overlap/interference records to\n"
-      "a versioned ovprof-agg-v1 file (--agg, default ovprof-agg.txt) plus a\n"
-      "per-job JSON summary (--json, default stdout).  WORKLOAD is a file of\n"
-      "'job <id> <kernel> <class> <nranks> <arrival> <prio> <estimate>'\n"
-      "lines or synth:NJOBS[:SEED[:MAXRANKS]] for the deterministic\n"
-      "generator.  Kernels: cg ep is mg; classes S A B.  --spill=PREFIX\n"
-      "bounds memory by spilling sorted shards of finalized records and\n"
-      "k-way merging them at the end.  Solo baselines (one idle-fabric run\n"
-      "per distinct job shape) price the interference metrics; skip them\n"
-      "with --no-baselines.  All outputs are byte-identical across reruns\n"
-      "and --ovprof-workers counts.\n"
-      "Exit code: 0 success, 1 RSS budget exceeded, 2 tool error.\n"
-      "framework flags (any ovprof binary):\n%s",
-      util::ovprofHelpText());
+util::Flags schedFlags() {
+  return util::Flags(
+      "usage: ovprof_sched WORKLOAD [flags]\n"
+      "Runs a multi-job workload through the cluster scheduler on one\n"
+      "shared fabric and streams per-job overlap and interference records.\n"
+      "WORKLOAD is a file of 'job <id> <kernel> <class> <nranks> <arrival>\n"
+      "<prio> <estimate>' lines (kernels cg ep is mg, classes S A B) or\n"
+      "synth:NJOBS[:SEED[:MAXRANKS]].  Outputs are byte-identical across\n"
+      "reruns and --ovprof-workers counts.\n"
+      "Exit code: 0 success, 1 RSS budget exceeded, 2 tool error.\n",
+      {util::intFlag("nodes", "8", "machine nodes", 1, 4096),
+       util::intFlag("ranks-per-node", "4", "slots per node", 1, 256),
+       // Choices in cluster::SchedPolicy order (getChoice).
+       util::enumFlag("policy", "fifo|backfill", "backfill",
+                      "scheduling policy"),
+       util::boolFlag("shared-nodes",
+                      "pack jobs slot by slot instead of onto whole nodes"),
+       util::boolFlag("no-baselines", "skip the solo baseline runs"),
+       util::stringFlag("agg", "FILE", "aggregate stream to write",
+                        "ovprof-agg.txt"),
+       util::stringFlag("json", "FILE",
+                        "write the JSON summary to FILE (default stdout)"),
+       util::stringFlag("spill", "PREFIX",
+                        "bound memory by spilling record shards to PREFIX.*"),
+       util::intFlag("shard-jobs", "64", "records per shard", 1, 1000000),
+       util::stringFlag("launch-log", "FILE",
+                        "write one line per job launch to FILE"),
+       util::stringFlag("write-workload", "FILE",
+                        "save the resolved workload to FILE"),
+       util::intFlag("rss-budget-mb", "0",
+                     "exit 1 when peak RSS exceeds MB; 0 for no budget", 0),
+       util::frameworkFlag("ovprof-workers"),
+       util::frameworkFlag("ovprof-vci"),
+       util::frameworkFlag("ovprof-vci-rails")});
 }
 
 /// Parses synth:NJOBS[:SEED[:MAXRANKS]]; false on malformed numbers.
@@ -185,38 +187,21 @@ bool writeJsonSummary(const std::string& agg_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  tool::CommandLine cl = tool::parseCommandLine(argc, argv);
-  if (!cl.parse_ok) return 2;
-  if (cl.want_usage) {
-    printUsage();
-    return 0;
-  }
+  const tool::CommandLine cl = tool::parseCommandLine(argc, argv, schedFlags());
+  const util::Flags& flags = cl.flags;
   if (cl.positional.size() != 1) {
     std::fprintf(stderr, "ovprof_sched: expected exactly one WORKLOAD\n");
     return 2;
   }
 
   cluster::ClusterConfig cfg;
-  cfg.nodes = static_cast<int>(cl.flags.getInt("nodes", 8));
-  cfg.ranks_per_node = static_cast<int>(cl.flags.getInt("ranks-per-node", 4));
-  if (cfg.nodes < 1 || cfg.ranks_per_node < 1) {
-    std::fprintf(stderr, "ovprof_sched: --nodes/--ranks-per-node must be >= 1\n");
-    return 2;
-  }
-  const std::string policy = cl.flags.getString("policy", "backfill");
-  if (policy == "fifo") {
-    cfg.policy = cluster::SchedPolicy::Fifo;
-  } else if (policy == "backfill") {
-    cfg.policy = cluster::SchedPolicy::Backfill;
-  } else {
-    std::fprintf(stderr, "ovprof_sched: unknown --policy '%s'\n",
-                 policy.c_str());
-    return 2;
-  }
-  cfg.exclusive_nodes = !cl.flags.getBool("shared-nodes", false);
-  cfg.baselines = !cl.flags.getBool("no-baselines", false);
-  cfg.workers = util::workersRequested(cl.flags);
-  const std::string vci_spec = util::vciSpecRequested(cl.flags);
+  cfg.nodes = static_cast<int>(flags.getInt("nodes"));
+  cfg.ranks_per_node = static_cast<int>(flags.getInt("ranks-per-node"));
+  cfg.policy = static_cast<cluster::SchedPolicy>(flags.getChoice("policy"));
+  cfg.exclusive_nodes = !flags.getBool("shared-nodes");
+  cfg.baselines = !flags.getBool("no-baselines");
+  cfg.workers = static_cast<int>(flags.getInt("ovprof-workers"));
+  const std::string vci_spec = flags.getString("ovprof-vci");
   if (!vci_spec.empty()) {
     if (!net::VciParams::parse(vci_spec, cfg.fabric.vci)) {
       std::fprintf(stderr, "ovprof_sched: bad --ovprof-vci spec '%s'\n",
@@ -224,9 +209,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  cfg.fabric.vci.rails = util::vciRailsRequested(cl.flags);
-  cfg.agg.spill_prefix = cl.flags.getString("spill", "");
-  cfg.agg.shard_jobs = static_cast<int>(cl.flags.getInt("shard-jobs", 64));
+  cfg.fabric.vci.rails = static_cast<int>(flags.getInt("ovprof-vci-rails"));
+  cfg.agg.spill_prefix = flags.getString("spill");
+  cfg.agg.shard_jobs = static_cast<int>(flags.getInt("shard-jobs"));
 
   const std::string& wl = cl.positional[0];
   std::vector<cluster::JobSpec> jobs;
@@ -260,7 +245,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string write_wl = cl.flags.getString("write-workload", "");
+  const std::string write_wl = flags.getString("write-workload");
   if (!write_wl.empty()) {
     std::ofstream os(write_wl, std::ios::binary);
     if (!os) {
@@ -271,7 +256,7 @@ int main(int argc, char** argv) {
     cluster::saveWorkload(os, jobs);
   }
 
-  const std::string agg_path = cl.flags.getString("agg", "ovprof-agg.txt");
+  const std::string agg_path = flags.getString("agg");
   std::ofstream agg_os(agg_path, std::ios::binary);
   if (!agg_os) {
     std::fprintf(stderr, "ovprof_sched: failed to write %s\n",
@@ -295,7 +280,7 @@ int main(int argc, char** argv) {
   }
   agg_os.close();
 
-  const std::string launch_path = cl.flags.getString("launch-log", "");
+  const std::string launch_path = flags.getString("launch-log");
   if (!launch_path.empty()) {
     std::ofstream os(launch_path, std::ios::binary);
     if (!os) {
@@ -313,8 +298,7 @@ int main(int argc, char** argv) {
 
   std::ofstream json_file;
   std::ostream* json_os =
-      tool::openOutput("ovprof_sched", cl.flags.getString("json", ""),
-                       json_file);
+      tool::openOutput("ovprof_sched", flags.getString("json"), json_file);
   if (json_os == nullptr) return 2;
   if (!writeJsonSummary(agg_path, cfg, result, *json_os)) {
     std::fprintf(stderr, "ovprof_sched: failed to summarize %s\n",
@@ -323,7 +307,7 @@ int main(int argc, char** argv) {
   }
   json_os->flush();
 
-  const std::int64_t budget_mb = cl.flags.getInt("rss-budget-mb", 0);
+  const std::int64_t budget_mb = flags.getInt("rss-budget-mb");
   if (budget_mb > 0) {
     const long peak = peakRssMb();
     if (peak > budget_mb) {

@@ -1,14 +1,16 @@
 // Shared CLI scaffolding for the ovprof_* analysis tools.
 //
 // Every tool follows the same conventions: positional arguments and dashed
-// flags may be interleaved; dashed arguments go through util::Flags (which
-// rejects unknown --ovprof-* flags); `-h`/`--help` or a bare invocation
-// prints usage and exits 0 (every binary runs standalone); flag-parse
-// failures exit 2.  This header centralizes that split so the tools stay
+// flags may be interleaved; the flags are checked against the tool's
+// util::Flags table (a rejected flag exits 2); `-h`/`--help` or a bare
+// invocation prints the generated help and exits 0 (every binary runs
+// standalone).  This header centralizes that split so the tools stay
 // byte-for-byte consistent about it.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -16,36 +18,36 @@
 #include <vector>
 
 #include "util/flags.hpp"
+#include "util/strings.hpp"
 
 namespace ovp::tool {
 
 struct CommandLine {
   util::Flags flags;
   std::vector<std::string> positional;
-  /// False when util::Flags rejected an argument (caller exits 2).
-  bool parse_ok = false;
-  /// True on -h/--help or when no positional arguments were given (caller
-  /// prints usage and exits 0).
-  bool want_usage = false;
 };
 
-/// Splits argv into positional arguments and parsed flags.
-[[nodiscard]] inline CommandLine parseCommandLine(int argc, char** argv) {
-  CommandLine cl;
+/// Splits argv into positional arguments and dashed flags and parses the
+/// flags against `flags`' table.  Exits 2 on a rejected flag; prints the
+/// help and exits 0 on -h/--help or when no positional argument was given.
+[[nodiscard]] inline CommandLine parseCommandLine(int argc, char** argv,
+                                                  util::Flags flags) {
   std::vector<char*> flag_args{argv[0]};
+  std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--", 0) == 0 || arg == "-h") {
       flag_args.push_back(argv[i]);
     } else {
-      cl.positional.emplace_back(arg);
+      positional.emplace_back(arg);
     }
   }
-  cl.parse_ok =
-      cl.flags.parse(static_cast<int>(flag_args.size()), flag_args.data());
-  if (!cl.parse_ok) return cl;
-  cl.want_usage = util::helpRequested(cl.flags) || cl.positional.empty();
-  return cl;
+  flags.parse(static_cast<int>(flag_args.size()), flag_args.data());
+  if (positional.empty()) {
+    std::fputs(flags.help().c_str(), stdout);
+    std::exit(0);
+  }
+  return {std::move(flags), std::move(positional)};
 }
 
 /// Parses a rank-count sweep spec: INT | A-B | A-B:pow2, comma-joined
@@ -57,21 +59,12 @@ struct CommandLine {
   out.clear();
   if (spec.empty()) return true;
   const auto parse_int = [](const std::string& s, int& v) {
-    if (s.empty()) return false;
-    v = 0;
-    for (const char c : s) {
-      if (c < '0' || c > '9') return false;
-      if (v > 100000000) return false;
-      v = v * 10 + (c - '0');
-    }
-    return v >= 1;
+    std::int64_t x = 0;
+    if (!util::parseInt(s, x) || x < 1 || x > 1'000'000'000) return false;
+    v = static_cast<int>(x);
+    return true;
   };
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    std::size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(start, comma - start);
-    start = comma + 1;
+  for (const std::string& item : util::split(spec, ',')) {
     const std::size_t dash = item.find('-');
     if (dash == std::string::npos) {
       int v = 0;
@@ -112,9 +105,7 @@ struct CommandLine {
   }
   std::vector<int> uniq;
   for (const int v : out) {
-    bool seen = false;
-    for (const int u : uniq) seen = seen || u == v;
-    if (!seen) uniq.push_back(v);
+    if (std::find(uniq.begin(), uniq.end(), v) == uniq.end()) uniq.push_back(v);
   }
   out = std::move(uniq);
   if (out.empty()) {
