@@ -1,12 +1,12 @@
 #include "analysis/deadlock.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "trace/pairing.hpp"
 #include "trace/record.hpp"
 
 namespace ovp::analysis {
@@ -19,6 +19,7 @@ using trace::RecordKind;
 struct Post {
   TimeNs time = 0;
   TimeNs next_call_exit = kTimeNever;  // never: blocked until trace end
+  TimeNs partner_post = kTimeNever;    // the paired half's post, if any
   Rank peer = -1;
   std::int32_t tag = 0;
   Bytes bytes = 0;
@@ -38,7 +39,8 @@ struct Edge {
   }
 };
 
-/// Collects SEND_POST / RECV_POST records per rank with each post's
+/// Collects rank r's SEND_POST / RECV_POST records whose peer is a rank of
+/// the trace (so wildcard-source receives are skipped), with each post's
 /// enclosing-call exit time (the moment the rank stopped being blocked,
 /// whatever else happened).
 void collectPosts(const trace::Collector& c, Rank r, std::vector<Post>& sends,
@@ -47,16 +49,14 @@ void collectPosts(const trace::Collector& c, Rank r, std::vector<Post>& sends,
   std::vector<std::pair<std::size_t, bool>> pending;  // (index, is_send)
   for (std::size_t i = 0; i < ring.size(); ++i) {
     const Record& rec = ring.at(i);
-    if (rec.kind == RecordKind::SendPost || rec.kind == RecordKind::RecvPost) {
-      Post p;
-      p.time = rec.time;
-      p.peer = rec.peer;
-      p.tag = rec.tag;
-      p.bytes = rec.bytes;
+    if ((rec.kind == RecordKind::SendPost ||
+         rec.kind == RecordKind::RecvPost) &&
+        rec.peer >= 0 && rec.peer < c.nranks()) {
       const bool is_send = rec.kind == RecordKind::SendPost;
       auto& list = is_send ? sends : recvs;
       pending.emplace_back(list.size(), is_send);
-      list.push_back(p);
+      list.push_back({rec.time, kTimeNever, kTimeNever, rec.peer, rec.tag,
+                      rec.bytes});
     } else if (rec.kind == RecordKind::CallExit) {
       for (const auto& [idx, is_send] : pending) {
         (is_send ? sends : recvs)[idx].next_call_exit = rec.time;
@@ -72,66 +72,36 @@ std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c,
                                        const DeadlockConfig& cfg) {
   std::vector<Diagnostic> out;
   const int nranks = c.nranks();
+  const auto n = static_cast<std::size_t>(nranks);
 
-  std::vector<std::vector<Post>> sends(static_cast<std::size_t>(nranks));
-  std::vector<std::vector<Post>> recvs(static_cast<std::size_t>(nranks));
+  std::vector<std::vector<Post>> sends(n), recvs(n);
+  std::vector<std::vector<trace::PostedHalf>> send_halves(n);
+  std::vector<std::vector<trace::PostedHalf>> recv_halves(n);
   for (Rank r = 0; r < nranks; ++r) {
-    collectPosts(c, r, sends[static_cast<std::size_t>(r)],
-                 recvs[static_cast<std::size_t>(r)]);
+    const auto ri = static_cast<std::size_t>(r);
+    collectPosts(c, r, sends[ri], recvs[ri]);
+    for (const Post& p : sends[ri]) send_halves[ri].push_back({p.peer, p.tag});
+    for (const Post& p : recvs[ri]) recv_halves[ri].push_back({p.peer, p.tag});
+  }
+  for (const trace::MessagePair& p :
+       trace::pairMessages(send_halves, recv_halves)) {
+    Post& s = sends[static_cast<std::size_t>(p.src)][p.send];
+    Post& rp = recvs[static_cast<std::size_t>(p.dst)][p.recv];
+    s.partner_post = rp.time;
+    rp.partner_post = s.time;
   }
 
-  // Non-overtaking pairing: k-th send on (src, dst, tag) matches the k-th
-  // recv on dst naming (src, tag).  Wildcard receives (peer < 0) don't
-  // constrain anyone and are skipped.
-  using Channel = std::tuple<Rank, Rank, std::int32_t>;
-  std::map<Channel, std::vector<std::size_t>> send_idx, recv_idx;
-  for (Rank r = 0; r < nranks; ++r) {
-    const auto& ss = sends[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      if (ss[i].peer < 0) continue;
-      send_idx[{r, ss[i].peer, ss[i].tag}].push_back(i);
-    }
-    const auto& rr = recvs[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < rr.size(); ++i) {
-      if (rr[i].peer < 0) continue;
-      recv_idx[{rr[i].peer, r, rr[i].tag}].push_back(i);
-    }
-  }
-
+  // A sender waits on the receiver until its call exits or the matching
+  // receive is posted; a receiver waits on the sender the same way.
   std::vector<Edge> edges;
-  for (const auto& [ch, s_list] : send_idx) {
-    const auto& [src, dst, tag] = ch;
-    const auto rit = recv_idx.find(ch);
-    const std::size_t paired =
-        rit == recv_idx.end() ? 0 : std::min(s_list.size(),
-                                             rit->second.size());
-    for (std::size_t k = 0; k < s_list.size(); ++k) {
-      const Post& s = sends[static_cast<std::size_t>(src)][s_list[k]];
-      const TimeNs recv_post =
-          k < paired
-              ? recvs[static_cast<std::size_t>(dst)][rit->second[k]].time
-              : kTimeNever;
-      const TimeNs hi = std::min(s.next_call_exit, recv_post);
-      if (hi > s.time) {
-        edges.push_back({src, dst, s.time, hi, s.bytes, tag});
-      }
-    }
-  }
-  for (const auto& [ch, r_list] : recv_idx) {
-    const auto& [src, dst, tag] = ch;
-    const auto sit = send_idx.find(ch);
-    const std::size_t paired =
-        sit == send_idx.end() ? 0 : std::min(r_list.size(),
-                                             sit->second.size());
-    for (std::size_t k = 0; k < r_list.size(); ++k) {
-      const Post& rp = recvs[static_cast<std::size_t>(dst)][r_list[k]];
-      const TimeNs send_post =
-          k < paired
-              ? sends[static_cast<std::size_t>(src)][sit->second[k]].time
-              : kTimeNever;
-      const TimeNs hi = std::min(rp.next_call_exit, send_post);
-      if (hi > rp.time) {
-        edges.push_back({dst, src, rp.time, hi, rp.bytes, tag});
+  for (Rank r = 0; r < nranks; ++r) {
+    for (const auto* list : {&sends[static_cast<std::size_t>(r)],
+                             &recvs[static_cast<std::size_t>(r)]}) {
+      for (const Post& p : *list) {
+        const TimeNs hi = std::min(p.next_call_exit, p.partner_post);
+        if (hi > p.time) {
+          edges.push_back({r, p.peer, p.time, hi, p.bytes, p.tag});
+        }
       }
     }
   }
@@ -139,8 +109,7 @@ std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c,
   // ---- deadlock: cycles among open edges ----
   // An open edge pins its rank forever, so at trace end the open edges form
   // a static graph; any cycle in it is a certain deadlock.
-  std::vector<std::vector<const Edge*>> open_adj(
-      static_cast<std::size_t>(nranks));
+  std::vector<std::vector<const Edge*>> open_adj(n);
   for (const Edge& e : edges) {
     if (e.open()) open_adj[static_cast<std::size_t>(e.from)].push_back(&e);
   }
@@ -149,26 +118,36 @@ std::vector<Diagnostic> analyzeWaitFor(const trace::Collector& c,
       return std::tie(a->to, a->lo, a->tag) < std::tie(b->to, b->lo, b->tag);
     });
   }
-  std::vector<int> color(static_cast<std::size_t>(nranks), 0);  // 0/1/2
-  std::vector<Rank> stack;
+  // Depth-first search with an explicit stack: a cycle can run through
+  // every rank of the job, deeper than the thread's stack allows frames.
+  std::vector<int> color(n, 0);  // 0/1/2
+  std::vector<Rank> stack;       // the current path
+  std::vector<std::size_t> next_edge;  // per path rank: next edge to follow
   std::vector<std::vector<Rank>> cycles;
-  auto dfs = [&](auto&& self, Rank u) -> void {
+  const auto enter = [&](Rank u) {
     color[static_cast<std::size_t>(u)] = 1;
     stack.push_back(u);
-    for (const Edge* e : open_adj[static_cast<std::size_t>(u)]) {
-      const Rank v = e->to;
+    next_edge.push_back(0);
+  };
+  for (Rank r = 0; r < nranks; ++r) {
+    if (color[static_cast<std::size_t>(r)] != 0) continue;
+    enter(r);
+    while (!stack.empty()) {
+      const auto& adj = open_adj[static_cast<std::size_t>(stack.back())];
+      if (next_edge.back() == adj.size()) {
+        color[static_cast<std::size_t>(stack.back())] = 2;
+        stack.pop_back();
+        next_edge.pop_back();
+        continue;
+      }
+      const Rank v = adj[next_edge.back()++]->to;
       if (color[static_cast<std::size_t>(v)] == 1) {
         const auto it = std::find(stack.begin(), stack.end(), v);
         cycles.emplace_back(it, stack.end());
       } else if (color[static_cast<std::size_t>(v)] == 0) {
-        self(self, v);
+        enter(v);
       }
     }
-    stack.pop_back();
-    color[static_cast<std::size_t>(u)] = 2;
-  };
-  for (Rank r = 0; r < nranks; ++r) {
-    if (color[static_cast<std::size_t>(r)] == 0) dfs(dfs, r);
   }
   for (const std::vector<Rank>& cyc : cycles) {
     TimeNs since = 0;

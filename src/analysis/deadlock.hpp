@@ -1,8 +1,10 @@
 // Wait-for-graph deadlock / stall analysis over matched send/recv records.
 //
-// Replays MPI's non-overtaking matching over the trace (k-th SEND_POST from
-// src to dst under a tag pairs with dst's k-th RECV_POST naming src and the
-// tag) and derives directed wait-for edges between ranks:
+// Pairs each SEND_POST with a RECV_POST through trace::pairMessages (MPI's
+// non-overtaking rule, trace/pairing.hpp), because a deadlocked trace has
+// no MATCH, and derives directed wait-for edges between ranks.  Wildcard-
+// source receives constrain no one and are skipped, as is a post whose
+// peer is not a rank of the trace.
 //
 //   * sender side: A waits on B over [send_post, min(next CALL_EXIT on A,
 //     B's matching recv_post)) — A is blocked in the call while B has not

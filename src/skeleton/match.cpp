@@ -1,7 +1,9 @@
 #include "skeleton/match.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
+
+#include "trace/pairing.hpp"
 
 namespace ovp::skel {
 
@@ -11,28 +13,21 @@ using analysis::DiagCode;
 using analysis::Diagnostic;
 using analysis::Severity;
 
-struct SendHalf {
-  OpRef ref;
-  Rank dst = -1;
-  int tag = 0;
-  Bytes bytes = 0;
-  const Op* op = nullptr;
-  bool consumed = false;
-};
+static_assert(kAnySource == trace::kAnySource && kAnyTag == trace::kAnyTag);
 
-struct RecvHalf {
+/// One send or receive half of an op, in its rank's program order.
+struct Half {
   OpRef ref;
-  Rank src = -1;  // may be kAnySource
-  int tag = 0;    // may be kAnyTag
+  Rank peer = -1;  // a send's destination; a receive's source or kAnySource
+  int tag = 0;     // a receive's may be kAnyTag
   Bytes bytes = 0;
   const Op* op = nullptr;
   bool consumed = false;
 };
 
 struct Halves {
-  // Per source rank, in program order (non-overtaking matching needs it).
-  std::vector<std::vector<SendHalf>> sends;
-  std::vector<std::vector<RecvHalf>> recvs;  // per destination rank
+  std::vector<std::vector<Half>> sends;  // per source rank
+  std::vector<std::vector<Half>> recvs;  // per destination rank
 };
 
 Halves extractHalves(const Skeleton& skel) {
@@ -41,51 +36,37 @@ Halves extractHalves(const Skeleton& skel) {
   h.recvs.resize(static_cast<std::size_t>(skel.nranks));
   for (Rank r = 0; r < skel.nranks; ++r) {
     const Program& prog = skel.ranks[static_cast<std::size_t>(r)];
+    std::vector<Half>& sends = h.sends[static_cast<std::size_t>(r)];
+    std::vector<Half>& recvs = h.recvs[static_cast<std::size_t>(r)];
     for (std::size_t i = 0; i < prog.ops.size(); ++i) {
       const Op& op = prog.ops[i];
       const OpRef ref{r, static_cast<std::int32_t>(i)};
-      switch (op.kind) {
-        case OpKind::Send:
-        case OpKind::Isend:
-          h.sends[static_cast<std::size_t>(r)].push_back(
-              {ref, op.peer, op.tag, op.bytes, &op, false});
-          break;
-        case OpKind::Recv:
-        case OpKind::Irecv:
-          h.recvs[static_cast<std::size_t>(r)].push_back(
-              {ref, op.peer, op.tag, op.bytes, &op, false});
-          break;
-        case OpKind::Sendrecv:
-          h.sends[static_cast<std::size_t>(r)].push_back(
-              {ref, op.peer, op.tag, op.bytes, &op, false});
-          h.recvs[static_cast<std::size_t>(r)].push_back(
-              {ref, op.src, op.rtag, op.rbytes, &op, false});
-          break;
-        default:
-          break;
+      if (op.kind == OpKind::Send || op.kind == OpKind::Isend ||
+          op.kind == OpKind::Sendrecv) {
+        sends.push_back({ref, op.peer, op.tag, op.bytes, &op, false});
+      }
+      if (op.kind == OpKind::Recv || op.kind == OpKind::Irecv) {
+        recvs.push_back({ref, op.peer, op.tag, op.bytes, &op, false});
+      } else if (op.kind == OpKind::Sendrecv) {
+        recvs.push_back({ref, op.src, op.rtag, op.rbytes, &op, false});
       }
     }
   }
   return h;
 }
 
-[[nodiscard]] bool tagsCompatible(int recv_tag, int send_tag) {
-  return recv_tag == kAnyTag || recv_tag == send_tag;
-}
-
 [[nodiscard]] bool bytesAgree(Bytes a, Bytes b) {
   return a == kAnyBytes || b == kAnyBytes || a == b;
 }
 
+/// "any" for the kAnySource / kAnyTag wildcard, else the number.
+std::string anyOr(int value) {
+  return value == kAnyTag ? "any" : std::to_string(value);
+}
+
 std::string channelLabel(Rank src, Rank dst, int tag) {
-  std::ostringstream os;
-  os << src << "->" << dst << " tag ";
-  if (tag == kAnyTag) {
-    os << "any";
-  } else {
-    os << tag;
-  }
-  return os.str();
+  return std::to_string(src) + "->" + std::to_string(dst) + " tag " +
+         anyOr(tag);
 }
 
 Diagnostic makeDiag(Severity sev, DiagCode code, Rank rank,
@@ -161,30 +142,18 @@ bool MatchRelation::admitsGet(Rank origin, Rank target, Bytes bytes) const {
 
 MatchRelation buildMatchRelation(const Skeleton& skel) {
   MatchRelation rel;
+  const Halves h = extractHalves(skel);
   for (Rank r = 0; r < skel.nranks; ++r) {
-    for (const Op& op : skel.ranks[static_cast<std::size_t>(r)].ops) {
-      switch (op.kind) {
-        case OpKind::Send:
-        case OpKind::Isend:
-          rel.addSend(r, op.peer, op.tag, op.bytes);
-          break;
-        case OpKind::Recv:
-        case OpKind::Irecv:
-          rel.addRecv(r, op.peer, op.tag, op.bytes);
-          break;
-        case OpKind::Sendrecv:
-          rel.addSend(r, op.peer, op.tag, op.bytes);
-          rel.addRecv(r, op.src, op.rtag, op.rbytes);
-          break;
-        case OpKind::RmaPut:
-          rel.addPut(r, op.peer, op.bytes);
-          break;
-        case OpKind::RmaGet:
-          rel.addGet(r, op.peer, op.bytes);
-          break;
-        default:
-          break;
-      }
+    const auto ri = static_cast<std::size_t>(r);
+    for (const Half& sd : h.sends[ri]) {
+      rel.addSend(r, sd.peer, sd.tag, sd.bytes);
+    }
+    for (const Half& rv : h.recvs[ri]) {
+      rel.addRecv(r, rv.peer, rv.tag, rv.bytes);
+    }
+    for (const Op& op : skel.ranks[ri].ops) {
+      if (op.kind == OpKind::RmaPut) rel.addPut(r, op.peer, op.bytes);
+      if (op.kind == OpKind::RmaGet) rel.addGet(r, op.peer, op.bytes);
     }
   }
   return rel;
@@ -197,57 +166,40 @@ MatchResult runMatch(const Skeleton& skel) {
   Halves h = extractHalves(skel);
   std::vector<Diagnostic> diags;
 
-  // Pass 1: concrete-source receives, matched per (src, dst) channel in
-  // program order, FIFO per tag (MPI non-overtaking).
-  for (Rank d = 0; d < skel.nranks; ++d) {
-    for (RecvHalf& rv : h.recvs[static_cast<std::size_t>(d)]) {
-      if (rv.src == kAnySource) continue;
-      std::vector<SendHalf>& sends =
-          h.sends[static_cast<std::size_t>(rv.src)];
-      for (SendHalf& sd : sends) {
-        if (sd.consumed || sd.dst != d) continue;
-        if (!tagsCompatible(rv.tag, sd.tag)) continue;
-        sd.consumed = true;
-        rv.consumed = true;
-        result.edges.push_back({sd.ref, rv.ref});
-        ++result.matched;
-        if (!bytesAgree(sd.bytes, rv.bytes)) {
-          std::ostringstream os;
-          os << "send " << channelLabel(rv.src, d, sd.tag) << " carries "
-             << sd.bytes << " B but the matching receive posts " << rv.bytes
-             << " B";
-          diags.push_back(makeDiag(
-              Severity::Warning, DiagCode::StaticSizeMismatch, d,
-              rv.op->site, os.str(),
-              "size|" + channelLabel(rv.src, d, sd.tag) + "|" + rv.op->site));
-        }
-        break;
-      }
+  // Pair through the one rule (trace/pairing.hpp); only a concrete-source
+  // pair is checked for agreeing byte counts, and every wildcard receive
+  // gets a note.
+  std::vector<std::vector<trace::PostedHalf>> sends(h.sends.size());
+  std::vector<std::vector<trace::PostedHalf>> recvs(h.recvs.size());
+  for (std::size_t r = 0; r < h.sends.size(); ++r) {
+    for (const Half& sd : h.sends[r]) sends[r].push_back({sd.peer, sd.tag});
+    for (const Half& rv : h.recvs[r]) recvs[r].push_back({rv.peer, rv.tag});
+  }
+  for (const trace::MessagePair& p : trace::pairMessages(sends, recvs)) {
+    Half& sd = h.sends[static_cast<std::size_t>(p.src)][p.send];
+    Half& rv = h.recvs[static_cast<std::size_t>(p.dst)][p.recv];
+    sd.consumed = true;
+    rv.consumed = true;
+    result.edges.push_back({sd.ref, rv.ref});
+    ++result.matched;
+    if (rv.peer != kAnySource && !bytesAgree(sd.bytes, rv.bytes)) {
+      const std::string channel = channelLabel(rv.peer, p.dst, sd.tag);
+      diags.push_back(makeDiag(
+          Severity::Warning, DiagCode::StaticSizeMismatch, p.dst, rv.op->site,
+          "send " + channel + " carries " + std::to_string(sd.bytes) +
+              " B but the matching receive posts " + std::to_string(rv.bytes) +
+              " B",
+          "size|" + channel + "|" + rv.op->site));
     }
   }
-
-  // Pass 2: wildcard receives consume leftover sends targeting their rank,
-  // in send program order over source ranks ascending (a deterministic
-  // stand-in for the run-time race the wildcard admits).
   for (Rank d = 0; d < skel.nranks; ++d) {
-    for (RecvHalf& rv : h.recvs[static_cast<std::size_t>(d)]) {
-      if (rv.src != kAnySource || rv.consumed) continue;
+    for (const Half& rv : h.recvs[static_cast<std::size_t>(d)]) {
+      if (rv.peer != kAnySource) continue;
       diags.push_back(makeDiag(
           Severity::Note, DiagCode::StaticWildcardRecv, d, rv.op->site,
           "wildcard receive: any sender may match first, so the match "
           "order is nondeterministic",
           "wild|" + std::to_string(d) + "|" + rv.op->site));
-      for (Rank s = 0; s < skel.nranks && !rv.consumed; ++s) {
-        for (SendHalf& sd : h.sends[static_cast<std::size_t>(s)]) {
-          if (sd.consumed || sd.dst != d) continue;
-          if (!tagsCompatible(rv.tag, sd.tag)) continue;
-          sd.consumed = true;
-          rv.consumed = true;
-          result.edges.push_back({sd.ref, rv.ref});
-          ++result.matched;
-          break;
-        }
-      }
     }
   }
 
@@ -255,68 +207,45 @@ MatchResult runMatch(const Skeleton& skel) {
   // unmatched receives is a tag mismatch (the tags are disjoint, or the
   // halves would have paired); pure leftovers are unmatched send/receive.
   for (Rank s = 0; s < skel.nranks; ++s) {
-    for (SendHalf& sd : h.sends[static_cast<std::size_t>(s)]) {
+    for (Half& sd : h.sends[static_cast<std::size_t>(s)]) {
       if (sd.consumed) continue;
-      RecvHalf* partner = nullptr;
-      for (RecvHalf& rv : h.recvs[static_cast<std::size_t>(sd.dst)]) {
-        if (!rv.consumed && rv.src == s) {
-          partner = &rv;
-          break;
-        }
-      }
-      if (partner != nullptr) {
-        partner->consumed = true;
-        sd.consumed = true;
-        result.unmatched += 2;
-        std::ostringstream os;
-        os << "send " << channelLabel(s, sd.dst, sd.tag)
-           << " can never pair with the leftover receive expecting tag ";
-        if (partner->tag == kAnyTag) {
-          os << "any";
-        } else {
-          os << partner->tag;
-        }
-        diags.push_back(makeDiag(
-            Severity::Error, DiagCode::StaticTagMismatch, s, sd.op->site,
-            os.str(),
-            "tagmm|" + channelLabel(s, sd.dst, sd.tag) + "|" + sd.op->site));
-      }
+      std::vector<Half>& recvs = h.recvs[static_cast<std::size_t>(sd.peer)];
+      const auto partner =
+          std::find_if(recvs.begin(), recvs.end(), [s](const Half& rv) {
+            return !rv.consumed && rv.peer == s;
+          });
+      if (partner == recvs.end()) continue;
+      partner->consumed = true;
+      sd.consumed = true;
+      result.unmatched += 2;
+      diags.push_back(makeDiag(
+          Severity::Error, DiagCode::StaticTagMismatch, s, sd.op->site,
+          "send " + channelLabel(s, sd.peer, sd.tag) +
+              " can never pair with the leftover receive expecting tag " +
+              anyOr(partner->tag),
+          "tagmm|" + channelLabel(s, sd.peer, sd.tag) + "|" + sd.op->site));
     }
   }
   for (Rank s = 0; s < skel.nranks; ++s) {
-    for (const SendHalf& sd : h.sends[static_cast<std::size_t>(s)]) {
+    for (const Half& sd : h.sends[static_cast<std::size_t>(s)]) {
       if (sd.consumed) continue;
       ++result.unmatched;
       diags.push_back(makeDiag(
           Severity::Error, DiagCode::StaticUnmatchedSend, s, sd.op->site,
-          "send " + channelLabel(s, sd.dst, sd.tag) +
+          "send " + channelLabel(s, sd.peer, sd.tag) +
               " has no receive that can ever match it",
-          "usend|" + channelLabel(s, sd.dst, sd.tag) + "|" + sd.op->site));
+          "usend|" + channelLabel(s, sd.peer, sd.tag) + "|" + sd.op->site));
     }
   }
   for (Rank d = 0; d < skel.nranks; ++d) {
-    for (const RecvHalf& rv : h.recvs[static_cast<std::size_t>(d)]) {
+    for (const Half& rv : h.recvs[static_cast<std::size_t>(d)]) {
       if (rv.consumed) continue;
       ++result.unmatched;
-      const Rank src_label = rv.src;
-      std::ostringstream os;
-      os << "receive from ";
-      if (src_label == kAnySource) {
-        os << "any";
-      } else {
-        os << src_label;
-      }
-      os << " on rank " << d << " tag ";
-      if (rv.tag == kAnyTag) {
-        os << "any";
-      } else {
-        os << rv.tag;
-      }
-      os << " has no send that can ever match it";
       diags.push_back(makeDiag(
           Severity::Error, DiagCode::StaticUnmatchedRecv, d, rv.op->site,
-          os.str(),
-          "urecv|" + channelLabel(src_label, d, rv.tag) + "|" + rv.op->site));
+          "receive from " + anyOr(rv.peer) + " on rank " + std::to_string(d) +
+              " tag " + anyOr(rv.tag) + " has no send that can ever match it",
+          "urecv|" + channelLabel(rv.peer, d, rv.tag) + "|" + rv.op->site));
     }
   }
 

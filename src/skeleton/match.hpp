@@ -1,8 +1,8 @@
 // Static message matching over a skeleton.
 //
-// Pairs every send-like half with a receive-like half under MPI matching
-// semantics — per (source, destination) channel, per tag, in program order
-// (non-overtaking) — without executing anything.  Produces:
+// Pairs every send-like half with a receive-like half through
+// trace::pairMessages (MPI's non-overtaking rule, trace/pairing.hpp), in
+// program order and without executing anything.  Produces:
 //
 //   * diagnostics: unmatched sends/receives, tag mismatches, byte-count
 //     disagreements, wildcard-receive nondeterminism notes;

@@ -1,19 +1,16 @@
 #include "trace/critical_path.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <utility>
+
+#include "trace/pairing.hpp"
 
 namespace ovp::trace {
 
 namespace {
 
-constexpr Rank kAny = -1;
-
 struct PendingRecv {
-  Rank src = kAny;
-  std::int32_t tag = kAny;
+  Rank src = kAnySource;
+  std::int32_t tag = kAnyTag;
   TimeNs time = 0;
   bool consumed = false;
 };
@@ -22,62 +19,62 @@ struct PendingRecv {
 
 std::vector<MessageEdge> matchMessages(const Collector& c) {
   const int n = c.nranks();
-  // Per sender, FIFO of SEND_POST ring positions keyed by (dst, tag) —
-  // MPI's non-overtaking order for one (src, dst, tag) stream.
-  std::vector<
-      std::map<std::pair<Rank, std::int32_t>, std::deque<std::size_t>>>
-      sends(static_cast<std::size_t>(n));
-  std::vector<std::vector<PendingRecv>> recvs(static_cast<std::size_t>(n));
+  // Each rank's SEND_POSTs are its sends and its MATCHes, which name the
+  // resolved sender and tag, its receives; both keep their ring positions.
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<std::vector<PostedHalf>> sends(un), matches(un);
+  std::vector<std::vector<std::size_t>> send_at(un), match_at(un);
+  std::vector<std::vector<PendingRecv>> recvs(un);
   for (Rank r = 0; r < n; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
     const TraceRing& ring = c.ring(r);
     for (std::size_t i = 0; i < ring.size(); ++i) {
       const Record& rec = ring.at(i);
       if (rec.kind == RecordKind::SendPost) {
-        sends[static_cast<std::size_t>(r)][{rec.peer, rec.tag}].push_back(i);
+        sends[ri].push_back({rec.peer, rec.tag});
+        send_at[ri].push_back(i);
+      } else if (rec.kind == RecordKind::Match && rec.peer >= 0 &&
+                 rec.peer < n) {  // a MATCH from no such sender is skipped
+        matches[ri].push_back({rec.peer, rec.tag});
+        match_at[ri].push_back(i);
       } else if (rec.kind == RecordKind::RecvPost) {
-        recvs[static_cast<std::size_t>(r)].push_back(
-            {rec.peer, rec.tag, rec.time, false});
+        recvs[ri].push_back({rec.peer, rec.tag, rec.time, false});
       }
     }
   }
 
+  // Pairs come per receiver in MATCH order, so each receiver's posted
+  // receives are consumed in that order.  A MATCH whose send fell outside
+  // the retained prefix stays unpaired.
   std::vector<MessageEdge> edges;
-  for (Rank r = 0; r < n; ++r) {
-    const TraceRing& ring = c.ring(r);
-    std::vector<PendingRecv>& posted = recvs[static_cast<std::size_t>(r)];
-    std::size_t first_open = 0;  // posted[0, first_open) are all consumed
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      const Record& rec = ring.at(i);
-      if (rec.kind != RecordKind::Match) continue;
-      if (rec.peer < 0 || rec.peer >= n) continue;  // no such sender
-      MessageEdge e;
-      e.src = rec.peer;
-      e.dst = r;
-      e.tag = rec.tag;
-      e.bytes = rec.bytes;
-      e.match = rec.time;
-      e.match_index = i;
-      auto& q = sends[static_cast<std::size_t>(e.src)][{r, e.tag}];
-      if (q.empty()) continue;  // send fell outside the retained prefix
-      e.send_index = q.front();
-      e.send_post = c.ring(e.src).at(e.send_index).time;
-      q.pop_front();
-      e.recv_post = -1;
-      while (first_open < posted.size() && posted[first_open].consumed) {
-        ++first_open;
-      }
-      for (std::size_t j = first_open; j < posted.size(); ++j) {
-        PendingRecv& pr = posted[j];
-        if (pr.consumed || pr.time > e.match) continue;
-        if ((pr.src == kAny || pr.src == e.src) &&
-            (pr.tag == kAny || pr.tag == e.tag)) {
-          pr.consumed = true;
-          e.recv_post = pr.time;
-          break;
-        }
-      }
-      edges.push_back(e);
+  std::vector<std::size_t> first_open(un, 0);
+  for (const MessagePair& p : pairMessages(sends, matches)) {
+    const auto di = static_cast<std::size_t>(p.dst);
+    const std::size_t send_index =
+        send_at[static_cast<std::size_t>(p.src)][p.send];
+    const Record& match = c.ring(p.dst).at(match_at[di][p.recv]);
+    MessageEdge e{.src = p.src, .dst = p.dst, .tag = match.tag,
+                  .bytes = match.bytes,
+                  .send_post = c.ring(p.src).at(send_index).time,
+                  .recv_post = -1, .match = match.time,
+                  .send_index = send_index,
+                  .match_index = match_at[di][p.recv]};
+    std::vector<PendingRecv>& posted = recvs[di];
+    // posted[0, first_open) are all consumed
+    while (first_open[di] < posted.size() && posted[first_open[di]].consumed) {
+      ++first_open[di];
     }
+    for (std::size_t j = first_open[di]; j < posted.size(); ++j) {
+      PendingRecv& pr = posted[j];
+      if (pr.consumed || pr.time > e.match) continue;
+      if ((pr.src == kAnySource || pr.src == e.src) &&
+          (pr.tag == kAnyTag || pr.tag == e.tag)) {
+        pr.consumed = true;
+        e.recv_post = pr.time;
+        break;
+      }
+    }
+    edges.push_back(e);
   }
   std::sort(edges.begin(), edges.end(),
             [](const MessageEdge& a, const MessageEdge& b) {

@@ -2,9 +2,9 @@
 // late-receiver classification, and a simple wait-chain critical path.
 //
 // Message edges are reconstructed offline from the MPI library's records:
-// SEND_POST on the sender, RECV_POST and MATCH on the receiver.  Matching
-// uses MPI's non-overtaking rule — the k-th MATCH on rank R from source S
-// with tag T corresponds to the k-th SEND_POST on S to R with tag T — and
+// SEND_POST on the sender, RECV_POST and MATCH on the receiver.  Each MATCH,
+// which names the resolved source and tag, is paired with a SEND_POST
+// through trace::pairMessages (MPI's non-overtaking rule, pairing.hpp), and
 // RECV_POSTs are consumed FIFO per rank, honouring wildcard source/tag
 // (-1).  No protocol knowledge is needed beyond that ordering guarantee,
 // so the same matcher works across eager and all rendezvous presets.

@@ -9,6 +9,7 @@
 //   OVPROF_REGOLD=1 ./build/tests/lint_test
 // then commit the updated file under tests/golden/.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -65,6 +66,25 @@ Record rec(RecordKind kind, Rank rank, TimeNs time, std::int64_t id = 0,
   r.bytes = bytes;
   r.addr = addr;
   return r;
+}
+
+/// Runs fn to completion on a thread whose stack is `bytes` long.
+template <typename Fn>
+void runOnStack(std::size_t bytes, Fn fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, bytes), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* f) -> void* {
+                  (*static_cast<Fn*>(f))();
+                  return nullptr;
+                },
+                &fn),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
 }
 
 bool hasCode(const std::vector<Diagnostic>& diags, DiagCode code) {
@@ -442,6 +462,70 @@ TEST(Deadlock, HeadOfLineChainReported) {
   const std::vector<Diagnostic> diags = analysis::analyzeWaitFor(c, {});
   EXPECT_FALSE(hasCode(diags, DiagCode::DeadlockCycle));
   EXPECT_TRUE(hasCode(diags, DiagCode::BlockingChain));
+}
+
+TEST(Deadlock, PostToRankOutsideTheTraceBuildsNoEdge) {
+  // A 2-rank trace whose blocked send names rank 5 and whose receive names
+  // rank 7 (a corrupt or hand-edited file): no wait-for edge, no crash.
+  trace::Collector c = makeCollector(2);
+  c.push(0, rec(RecordKind::CallEnter, 0, 100));
+  c.push(0, rec(RecordKind::SendPost, 0, 110, 0, /*peer=*/5, /*tag=*/0, 64));
+  c.push(1, rec(RecordKind::CallEnter, 1, 100));
+  c.push(1, rec(RecordKind::RecvPost, 1, 110, 0, /*peer=*/7, /*tag=*/0, 64));
+  c.setEndTime(0, 1000);
+  c.setEndTime(1, 1000);
+  EXPECT_TRUE(analysis::analyzeWaitFor(c, {}).empty());
+  analysis::LintConfig deadlock_only;
+  deadlock_only.races = false;
+  deadlock_only.advisor = false;
+  EXPECT_EQ(analysis::runLint(c, deadlock_only).exitCode(), 0);
+  EXPECT_EQ(analysis::runLint(c).exitCode(), 0);
+}
+
+TEST(Deadlock, RingOfMaxTraceRanksReportsOneCycle) {
+  // Every rank blocks sending to the next one: one cycle through all
+  // kMaxTraceRanks ranks, deeper than a frame per rank fits in the stack.
+  const auto n = static_cast<Rank>(trace::kMaxTraceRanks);
+  trace::CollectorConfig cfg;
+  cfg.enabled = true;
+  cfg.ring_capacity = 2;
+  trace::Collector c(cfg, n);
+  for (Rank r = 0; r < n; ++r) {
+    c.push(r, rec(RecordKind::CallEnter, r, 100));
+    c.push(r, rec(RecordKind::SendPost, r, 110, 0, (r + 1) % n, 0, 64));
+    c.setEndTime(r, 1000);
+  }
+  analysis::LintConfig deadlock_only;
+  deadlock_only.races = false;
+  deadlock_only.advisor = false;
+  // On a 2 MiB stack, which a stack frame per rank on the path overflows.
+  analysis::LintResult lr;
+  runOnStack(2u << 20, [&] { lr = analysis::runLint(c, deadlock_only); });
+  ASSERT_EQ(lr.diagnostics.size(), 1u);
+  EXPECT_EQ(lr.diagnostics[0].code, DiagCode::DeadlockCycle);
+  EXPECT_EQ(lr.diagnostics[0].rank, 0);
+  EXPECT_EQ(lr.diagnostics[0].detail.rfind("wait-for cycle 0 -> 1 -> 2 ", 0),
+            0u);
+  EXPECT_EQ(lr.exitCode(), 1);
+}
+
+TEST(Deadlock, AnyTagReceivePairsWithTheFirstSendFromItsSource) {
+  // Head to head and never exiting: rank 0 receives from rank 1 with
+  // ANY_TAG while rank 1 sends to rank 0 with tag 3.  The receive accepts
+  // the send, so neither rank waits on the other.  A receive that names
+  // another tag cannot take the send, and the two ranks deadlock.
+  for (const std::int32_t recv_tag : {-1, 4}) {
+    trace::Collector c = makeCollector(2);
+    c.push(0, rec(RecordKind::CallEnter, 0, 100));
+    c.push(0, rec(RecordKind::RecvPost, 0, 110, 0, /*peer=*/1, recv_tag, 64));
+    c.push(1, rec(RecordKind::CallEnter, 1, 100));
+    c.push(1, rec(RecordKind::SendPost, 1, 120, 0, /*peer=*/0, /*tag=*/3, 64));
+    c.setEndTime(0, 1000);
+    c.setEndTime(1, 1000);
+    EXPECT_EQ(hasCode(analysis::analyzeWaitFor(c, {}), DiagCode::DeadlockCycle),
+              recv_tag != -1)
+        << "receive tag " << recv_tag;
+  }
 }
 
 // ---------------------------------------------------------------- advisor

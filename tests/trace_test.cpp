@@ -14,16 +14,19 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mpi/machine.hpp"
 #include "nas/cg.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
+#include "trace/pairing.hpp"
 #include "trace/reader.hpp"
 #include "trace/ring.hpp"
 #include "trace/timeline.hpp"
 #include "util/flags.hpp"
+#include "util/rng.hpp"
 
 #ifndef OVPROF_GOLDEN_DIR
 #error "OVPROF_GOLDEN_DIR must point at tests/golden"
@@ -532,6 +535,104 @@ TEST(TraceCriticalPath, LateSenderIsDetectedAndBlamed) {
   EXPECT_EQ(share_sum, cp.end_time);
   // The compute-heavy sender dominates the path.
   EXPECT_GT(cp.rank_share[0], cp.rank_share[1]);
+}
+
+// ---------------------------------------------------------------- pairing
+
+// The pairing rule as skel::runMatch wrote it before trace::pairMessages
+// existed: pass 1 scans the named source's sends from the start for each
+// concrete-source receive, pass 2 scans every source's sends for each
+// wildcard-source receive.  A concrete source that is not a rank pairs
+// with nothing.
+std::vector<trace::MessagePair> referencePairs(
+    const std::vector<std::vector<trace::PostedHalf>>& sends,
+    const std::vector<std::vector<trace::PostedHalf>>& recvs) {
+  const Rank n = static_cast<Rank>(sends.size());
+  std::vector<std::vector<bool>> send_done(sends.size());
+  for (Rank r = 0; r < n; ++r) {
+    send_done[static_cast<std::size_t>(r)].resize(
+        sends[static_cast<std::size_t>(r)].size());
+  }
+  const auto compatible = [](std::int32_t recv_tag, std::int32_t send_tag) {
+    return recv_tag == trace::kAnyTag || recv_tag == send_tag;
+  };
+  std::vector<trace::MessagePair> out;
+  const auto try_source = [&](Rank s, Rank d, std::size_t j) {
+    const auto& list = sends[static_cast<std::size_t>(s)];
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      if (send_done[static_cast<std::size_t>(s)][i] || list[i].peer != d) {
+        continue;
+      }
+      if (!compatible(recvs[static_cast<std::size_t>(d)][j].tag,
+                      list[i].tag)) {
+        continue;
+      }
+      send_done[static_cast<std::size_t>(s)][i] = true;
+      out.push_back({s, i, d, j});
+      return true;
+    }
+    return false;
+  };
+  // Pass 1: concrete-source receives.
+  for (Rank d = 0; d < n; ++d) {
+    const auto& list = recvs[static_cast<std::size_t>(d)];
+    for (std::size_t j = 0; j < list.size(); ++j) {
+      if (list[j].peer == trace::kAnySource) continue;
+      if (list[j].peer < 0 || list[j].peer >= n) continue;
+      try_source(list[j].peer, d, j);
+    }
+  }
+  // Pass 2: wildcard-source receives, source ranks ascending.
+  for (Rank d = 0; d < n; ++d) {
+    const auto& list = recvs[static_cast<std::size_t>(d)];
+    for (std::size_t j = 0; j < list.size(); ++j) {
+      if (list[j].peer != trace::kAnySource) continue;
+      for (Rank s = 0; s < n && !try_source(s, d, j); ++s) {
+      }
+    }
+  }
+  return out;
+}
+
+TEST(TracePairing, MatchesTheScanningReferenceOnRandomPrograms) {
+  // Random per-rank programs with unequal counts, wildcard sources and
+  // tags, sends carrying kAnyTag, and peers outside the job.
+  util::Rng rng(19);
+  std::size_t total_pairs = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const Rank n = 1 + static_cast<Rank>(rng.below(6));
+    std::vector<std::vector<trace::PostedHalf>> sends(
+        static_cast<std::size_t>(n));
+    std::vector<std::vector<trace::PostedHalf>> recvs(
+        static_cast<std::size_t>(n));
+    // A peer in [-2, n + 1]: -1 is the wildcard, -2 and n + 1 no rank.
+    const auto peer = [&] { return static_cast<Rank>(rng.below(n + 4)) - 2; };
+    const auto tag = [&] {
+      return static_cast<std::int32_t>(rng.below(4)) - 1;
+    };
+    for (Rank r = 0; r < n; ++r) {
+      const std::uint64_t ns = rng.below(9);
+      const std::uint64_t nr = rng.below(9);
+      for (std::uint64_t i = 0; i < ns; ++i) {
+        sends[static_cast<std::size_t>(r)].push_back({peer(), tag()});
+      }
+      for (std::uint64_t i = 0; i < nr; ++i) {
+        recvs[static_cast<std::size_t>(r)].push_back({peer(), tag()});
+      }
+    }
+    const auto keys = [](const std::vector<trace::MessagePair>& pairs) {
+      std::vector<std::tuple<Rank, std::size_t, Rank, std::size_t>> out;
+      for (const trace::MessagePair& p : pairs) {
+        out.emplace_back(p.src, p.send, p.dst, p.recv);
+      }
+      return out;
+    };
+    const auto want = keys(referencePairs(sends, recvs));
+    ASSERT_EQ(keys(trace::pairMessages(sends, recvs)), want)
+        << "trial " << trial;
+    total_pairs += want.size();
+  }
+  EXPECT_GT(total_pairs, 3000u);  // the draws do pair, often
 }
 
 // ------------------------------------------------------------------ flags

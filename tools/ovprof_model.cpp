@@ -27,10 +27,14 @@
 // gate miss, 2 tool error (unreadable input, bad flags, bad subcommand).
 // Output is deterministic: the same input bytes always produce the same
 // output bytes — no wall-clock, no environment, fixed float formatting.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "model/model_set.hpp"
@@ -44,7 +48,48 @@ using namespace ovp;
 
 namespace {
 
-util::Flags modelFlags() {
+/// The flag table of one subcommand: --out plus the rows it reads, so a
+/// flag only another subcommand reads is rejected.  No (or an unknown)
+/// subcommand gets every row, which the bare help then lists.
+util::Flags modelFlags(const std::string& subcommand) {
+  const std::pair<std::string_view, util::FlagSpec> rows[] = {
+      {"", util::stringFlag("out", "FILE",
+                            "write the JSON to FILE (default stdout)")},
+      {"predict", util::doubleFlag("at", "",
+                                   "predict: sweep parameter to predict at "
+                                   "(required)")},
+      {"eval", util::stringFlag("heldout", "SAMPLE",
+                                "eval: held-out sample to gate against "
+                                "(required)")},
+      {"eval", util::doubleFlag("mean-xfer-tol", "0.35",
+                                "eval: relative tolerance on mean transfer "
+                                "time")},
+      {"eval", util::doubleFlag("bounds-tol", "40",
+                                "eval: tolerance on min/max overlap, in "
+                                "points")},
+      {"whatif", util::doubleFlag("xfer-scale", "1",
+                                  "whatif: multiply every transfer time, "
+                                  ">= 0")},
+      {"whatif", util::doubleFlag("bandwidth-scale", "1",
+                                  "whatif: divide every transfer time, > 0")},
+      {"whatif", util::intFlag("latency-delta", "0",
+                               "whatif: add NS to every transfer time")},
+      {"whatif", util::intFlag("window", "1000000",
+                               "whatif: analysis window in virtual ns", 1)},
+      {"costs", util::stringFlag("procs", "SPEC",
+                                 "costs: rank counts, e.g. 8, 2,4,6 or "
+                                 "8-64:pow2",
+                                 "1-64:pow2")}};
+  const std::string_view subcommands[] = {"fit", "predict", "eval", "whatif",
+                                           "costs"};
+  const bool known = std::find(std::begin(subcommands), std::end(subcommands),
+                               subcommand) != std::end(subcommands);
+  std::vector<util::FlagSpec> specs;
+  for (const auto& [reader, spec] : rows) {
+    if (!known || reader.empty() || reader == subcommand) {
+      specs.push_back(spec);
+    }
+  }
   return util::Flags(
       "usage: ovprof_model fit|predict|eval SAMPLE... [flags]\n"
       "       ovprof_model whatif TRACE.csv [flags]\n"
@@ -55,27 +100,7 @@ util::Flags modelFlags() {
       "bandwidth (whatif) and evaluates ovprof_check --emit-costs tables\n"
       "(costs).  All output is deterministic JSON.\n"
       "Exit code: 0 success, 1 eval gate miss, 2 tool error.\n",
-      {util::stringFlag("out", "FILE",
-                        "write the JSON to FILE (default stdout)"),
-       util::doubleFlag("at", "",
-                        "predict: sweep parameter to predict at (required)"),
-       util::stringFlag("heldout", "SAMPLE",
-                        "eval: held-out sample to gate against (required)"),
-       util::doubleFlag("mean-xfer-tol", "0.35",
-                        "eval: relative tolerance on mean transfer time"),
-       util::doubleFlag("bounds-tol", "40",
-                        "eval: tolerance on min/max overlap, in points"),
-       util::doubleFlag("xfer-scale", "1",
-                        "whatif: multiply every transfer time, >= 0"),
-       util::doubleFlag("bandwidth-scale", "1",
-                        "whatif: divide every transfer time, > 0"),
-       util::intFlag("latency-delta", "0",
-                     "whatif: add NS to every transfer time"),
-       util::intFlag("window", "1000000",
-                     "whatif: analysis window in virtual ns", 1),
-       util::stringFlag("procs", "SPEC",
-                        "costs: rank counts, e.g. 8, 2,4,6 or 8-64:pow2",
-                        "1-64:pow2")});
+      std::move(specs));
 }
 
 /// Opens --out=FILE or falls back to stdout.
@@ -288,8 +313,15 @@ int cmdCosts(const std::vector<std::string>& inputs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Positional arguments are the subcommand then its inputs.
-  const tool::CommandLine cl = tool::parseCommandLine(argc, argv, modelFlags());
+  // Positional arguments are the subcommand then its inputs; the first one
+  // picks the flag table the rest parse against.
+  std::string first;
+  for (int i = 1; i < argc && first.empty(); ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.rfind("--", 0) != 0 && arg != "-h") first = arg;
+  }
+  const tool::CommandLine cl =
+      tool::parseCommandLine(argc, argv, modelFlags(first));
   const util::Flags& flags = cl.flags;
   const std::string subcommand = cl.positional.front();
   const std::vector<std::string> inputs(cl.positional.begin() + 1,
